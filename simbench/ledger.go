@@ -79,8 +79,9 @@ func (t *tracer) selfByLayer() map[string]time.Duration {
 	return out
 }
 
-// ledgerLines renders the layer shares of a job's wall time.
-func ledgerLines(self map[string]time.Duration, job time.Duration) []string {
+// ledgerLines renders the layer shares of a wall time, under the given
+// ledger name.
+func ledgerLines(ledger string, self map[string]time.Duration, job time.Duration) []string {
 	layers := make([]string, 0, len(self))
 	for l := range self {
 		layers = append(layers, l)
@@ -88,8 +89,8 @@ func ledgerLines(self map[string]time.Duration, job time.Duration) []string {
 	sort.Slice(layers, func(i, j int) bool { return self[layers[i]] > self[layers[j]] })
 	var out []string
 	for _, l := range layers {
-		out = append(out, fmt.Sprintf("# ledger %-10s self %10.3f ms  %5.1f%% of job", l,
-			float64(self[l].Microseconds())/1e3, 100*self[l].Seconds()/job.Seconds()))
+		out = append(out, fmt.Sprintf("# ledger %s %-10s self %10.3f ms  %5.1f%% of %s", ledger, l,
+			float64(self[l].Microseconds())/1e3, 100*self[l].Seconds()/job.Seconds(), ledger))
 	}
 	return out
 }

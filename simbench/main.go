@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -25,7 +24,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -58,12 +56,10 @@ type workload struct {
 var workloads = []workload{
 	{name: "coremark-rocket", profile: gen.RocketLike(), spec: server.SessionSpec{Engine: "gsim"},
 		kind: coremark, batch: 32, rep: 4096, ckEvery: 16, jobs: 3},
-	{name: "linux-boom", profile: gen.BoomLike(), spec: server.SessionSpec{Engine: "gsim"},
-		kind: linux, batch: 32, rep: 1024, ckEvery: 8, jobs: 3},
 	{name: "debug-http", profile: gen.StuCoreLike(), spec: server.SessionSpec{Engine: "gsim"},
-		clients: 2, iters: 256, ckEvery: 32, jobs: 5},
+		clients: 2, iters: 256, ckEvery: 32, jobs: 10},
 	{name: "regress-gang", profile: gen.RocketLike(), spec: server.SessionSpec{Engine: "verilator", Lanes: 8},
-		kind: coremark, batch: 2, rep: 256, ckEvery: 16, jobs: 3},
+		kind: coremark, batch: 2, rep: 256, ckEvery: 16, jobs: 5},
 }
 
 // probeIters is the length of the service op mix the traced run sends in
@@ -76,7 +72,7 @@ var endToEnd = []metricDef{
 	{"setup_s", "s"}, {"job_s", "s"}, {"sim_khz", "kHz"},
 	{"checkpoint_ms", "ms"}, {"restore_ms", "ms"},
 	{"op_p50_us", "us"}, {"ops_per_s", "1/s"},
-	{"peak_rss_mb", "MB"},
+	{"heap_mb", "MB"},
 }
 
 var perLayer = []metricDef{
@@ -138,13 +134,13 @@ type client struct {
 	tg, fresh target
 	sc        *script
 	want      [][]string
-	done      *[]done // batches completed, when the caller wants rates
+	done      *[]done // timed batches, when the caller wants rates
 }
 
-// done is one completed batch: when it finished and the cycles it stepped
+// done is one timed batch: its round trip and the cycles it stepped
 // (lane-cycles on a gang).
 type done struct {
-	at     time.Time
+	dur    time.Duration
 	cycles int
 }
 
@@ -160,6 +156,7 @@ type runner struct {
 
 	mu       sync.Mutex
 	samples  map[string][]float64
+	timed    [][]done // each client's timed batches over all jobs
 	tally    tally
 	mismatch string // the first oracle mismatch, for the error report
 }
@@ -239,12 +236,13 @@ func (r *runner) drive(c client, deadline time.Time) (first time.Duration, err e
 				r.check("batch", false)
 				return first, fmt.Errorf("batch %d: %w", i, err)
 			}
-			r.add("op_us", us(time.Since(t)))
+			d := time.Since(t)
+			r.add("op_us", us(d))
 			r.check(fmt.Sprintf("batch %d: got %v want %v", i, got, c.want[i]), slices.Equal(got, c.want[i]))
 			// The first batch after reset evaluates the whole design and is
 			// left out of the rates.
 			if c.done != nil && i > 0 {
-				*c.done = append(*c.done, done{at: time.Now(), cycles: bs[i].cycles * c.sc.lanes})
+				*c.done = append(*c.done, done{dur: d, cycles: bs[i].cycles * c.sc.lanes})
 			}
 			if r.w.ckEvery > 0 && (i+1)%r.w.ckEvery == 0 && i+1 < len(bs) {
 				if _, err := r.checkpoint(c); err != nil {
@@ -311,17 +309,11 @@ func (r *runner) checkpoint(c client) ([]byte, error) {
 // path, sharing the stepping time between them.
 func (r *runner) endToEnd(seconds time.Duration) error {
 	for j := 0; j < r.w.jobs; j++ {
-		// Collect the oracle's and the previous job's garbage first.
-		runtime.GC()
 		if err := r.job(seconds / time.Duration(r.w.jobs)); err != nil {
 			return err
 		}
 	}
-	rss, err := peakRSS()
-	if err != nil {
-		return err
-	}
-	r.add("peak_rss_mb", rss)
+	r.addRates(r.timed)
 	return nil
 }
 
@@ -330,19 +322,45 @@ func (r *runner) endToEnd(seconds time.Duration) error {
 // cycle or a stolen vCPU that slows a few windows barely moves them.
 const rateWindow = 250 * time.Millisecond
 
-// addRates cuts the completed batches, in time order, into consecutive
-// windows of at least rateWindow and adds one sim_khz and one ops_per_s
-// sample per window: the work of the batches that end it over its length.
-func (r *runner) addRates(ds []done) {
-	slices.SortFunc(ds, func(a, b done) int { return a.at.Compare(b.at) })
-	i, cycles := 0, 0
-	for j := 1; j < len(ds); j++ {
-		cycles += ds[j].cycles
-		if span := ds[j].at.Sub(ds[i].at); span >= rateWindow {
-			r.add("sim_khz", float64(cycles)/span.Seconds()/1e3)
-			r.add("ops_per_s", float64(j-i)/span.Seconds())
-			i, cycles = j, 0
+// rate is the stepping throughput of one window of timed batches.
+type rate struct{ khz, ops float64 }
+
+// windows cuts one client's timed batches, in order, into windows of at
+// least rateWindow of summed round trips, and returns each window's
+// throughput. Only the batches' own time counts, so the resets,
+// checkpoints and restore checks between them move no rate.
+func windows(ds []done) []rate {
+	var out []rate
+	var busy time.Duration
+	cycles, n := 0, 0
+	for _, d := range ds {
+		busy, cycles, n = busy+d.dur, cycles+d.cycles, n+1
+		if busy >= rateWindow {
+			out = append(out, rate{float64(cycles) / busy.Seconds() / 1e3, float64(n) / busy.Seconds()})
+			busy, cycles, n = 0, 0, 0
 		}
+	}
+	return out
+}
+
+// addRates adds one sim_khz and one ops_per_s sample per window index: the
+// sum over the clients of their k-th windows, as the clients step side by
+// side.
+func (r *runner) addRates(clients [][]done) {
+	var ws [][]rate
+	for _, ds := range clients {
+		ws = append(ws, windows(ds))
+	}
+	for k := 0; ; k++ {
+		var sum rate
+		for _, w := range ws {
+			if k >= len(w) {
+				return
+			}
+			sum.khz, sum.ops = sum.khz+w[k].khz, sum.ops+w[k].ops
+		}
+		r.add("sim_khz", sum.khz)
+		r.add("ops_per_s", sum.ops)
 	}
 }
 
@@ -351,6 +369,11 @@ func (r *runner) addRates(ds []done) {
 // job_s, ends with the last client's first final snapshot; the clients then
 // keep repeating the script until budget is spent.
 func (r *runner) job(budget time.Duration) error {
+	// Collecting the oracle's and the previous job's garbage also gives the
+	// live heap before set-up. The first collection queues the finalizers
+	// of closed sessions; the second frees what they held.
+	runtime.GC()
+	base := liveHeapMB()
 	t0 := time.Now()
 	m := server.NewManager()
 	var cs []client
@@ -412,8 +435,11 @@ func (r *runner) job(budget time.Duration) error {
 	// Settle the heap left by the compile before stepping, outside the
 	// timed job: otherwise whether the collector's first cycle lands
 	// mid-setup or mid-stepping decides how often it runs while stepping,
-	// and that changes from run to run.
-	runtime.GC()
+	// and that changes from run to run. The live heap it adds is what the
+	// ready sessions hold. The compile's transient peak is not measured:
+	// where the collector's cycles fall moves it between modes 24% apart on
+	// coremark-rocket.
+	r.add("heap_mb", liveHeapMB()-base)
 
 	driveStart := time.Now()
 	deadline := driveStart.Add(budget)
@@ -431,11 +457,12 @@ func (r *runner) job(budget time.Duration) error {
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	var all []done
-	for i := range cs {
-		all = append(all, *cs[i].done...)
+	if r.timed == nil {
+		r.timed = make([][]done, len(cs))
 	}
-	r.addRates(all)
+	for i := range cs {
+		r.timed[i] = append(r.timed[i], *cs[i].done...)
+	}
 	r.add("job_s", (setup + slices.Max(firsts)).Seconds())
 	if rg != nil {
 		vcd, err := cs[0].tg.(*httpTarget).vcd()
@@ -588,7 +615,7 @@ func (r *runner) layered(seconds time.Duration) error {
 	}
 	r.add("partition.supernodes", float64(c.supernodes))
 	r.add("partition.cut_edges", float64(c.cutEdges))
-	return r.serviceProbe(d.DesignHash())
+	return r.serviceProbe(d)
 }
 
 // spanMetrics turns one traced job's spans into per-layer samples.
@@ -608,23 +635,28 @@ func (r *runner) spanMetrics(tr *tracer, job time.Duration, lc layerCounts) {
 		}
 	}
 	r.add("ledger.coverage", covered.Seconds()/job.Seconds())
-	for _, line := range ledgerLines(self, job) {
+	for _, line := range ledgerLines("job", self, job) {
 		fmt.Println(line)
 	}
 }
 
 // serviceProbe measures the server, fleet and trace layers on the same
-// design: the op mix runs on three cache-hit sessions — in process, direct
-// to the replica over HTTP, and through the router — and the routed one's
-// traced lane is fetched. It also checks that the layered compile built the
-// program the production path builds.
-func (r *runner) serviceProbe(layeredHash string) error {
+// design. The op mix runs in lockstep on five targets: the layered design's
+// engine called directly, and four cache-hit sessions — in process, direct
+// to the replica over HTTP, through the router, and through the router with
+// lane 0 traced — whose waveform is then fetched. All but the last share
+// one untraced spec, so each difference between neighbours is one layer's
+// cost. It also checks that the layered compile built the program and
+// partition the production path builds.
+func (r *runner) serviceProbe(d *core.CompiledDesign) error {
 	m := server.NewManager()
 	s0, err := m.CreateSession(r.src, r.w.spec)
 	if err != nil {
 		return err
 	}
-	r.check("layered compile matches production design hash", s0.Design.DesignHash() == layeredHash)
+	r.check("layered compile matches production design hash", s0.Design.DesignHash() == d.DesignHash())
+	r.check(fmt.Sprintf("layered partition %s matches production partition %s", partCounts(d.Part), partCounts(s0.Design.Part)),
+		partCounts(d.Part) == partCounts(s0.Design.Part))
 	s0.Close()
 	rg, err := startRig(m)
 	if err != nil {
@@ -633,30 +665,37 @@ func (r *runner) serviceProbe(layeredHash string) error {
 	defer rg.stop()
 	scalar := r.w.spec
 	scalar.Lanes = 0
-	s, err := m.CreateSession(r.src, scalar)
-	if err != nil {
-		return err
-	}
+	tracedSpec := scalar
+	tracedSpec.TraceLanes = []int{0}
 	var tgs []target
-	tgs = append(tgs, &sessionTarget{s: s, lanes: 1})
 	defer func() {
 		for _, t := range tgs {
 			t.close()
 		}
 	}()
-	direct, _, err := createHTTP(rg.client, rg.replicaURL, r.src, scalar)
+	eng := &engineTarget{stimID: d.Graph.FindNode(stimPort).ID, sumID: d.Graph.FindNode(sumPort).ID}
+	if eng.sim, err = d.NewSim(coreConfig(scalar)); err != nil {
+		return err
+	}
+	tgs = append(tgs, eng)
+	s, err := m.CreateSession(r.src, scalar)
 	if err != nil {
 		return err
 	}
-	tgs = append(tgs, direct)
-	tracedSpec := scalar
-	tracedSpec.TraceLanes = []int{0}
-	routed, _, err := createHTTP(rg.client, rg.routerURL, r.src, tracedSpec)
-	if err != nil {
-		return err
+	tgs = append(tgs, &sessionTarget{s: s, lanes: 1})
+	var traced *httpTarget
+	for _, c := range []struct {
+		url  string
+		spec server.SessionSpec
+	}{{rg.replicaURL, scalar}, {rg.routerURL, scalar}, {rg.routerURL, tracedSpec}} {
+		tg, _, err := createHTTP(rg.client, c.url, r.src, c.spec)
+		if err != nil {
+			return err
+		}
+		tgs, traced = append(tgs, tg), tg
 	}
-	tgs = append(tgs, routed)
-	names := []string{"server.apply_us", "server.http_us", "fleet.routed_us"}
+	names := []string{"engine.probe_us", "server.apply_us", "server.http_us", "fleet.routed_us", "trace.routed_us"}
+	sums := make([]time.Duration, len(names))
 	for i := range r.probe.batches {
 		for k, tg := range tgs {
 			t := time.Now()
@@ -665,38 +704,53 @@ func (r *runner) serviceProbe(layeredHash string) error {
 				r.check("probe batch", false)
 				return err
 			}
-			r.add(names[k], us(time.Since(t)))
+			dt := time.Since(t)
+			sums[k] += dt
+			r.add(names[k], us(dt))
 			r.check(fmt.Sprintf("probe batch %d on %s", i, names[k]), slices.Equal(got, r.probeWant[i]))
 		}
 	}
 	r.add("fleet.hop_us", median(r.samples["fleet.routed_us"])-median(r.samples["server.http_us"]))
 	t := time.Now()
-	vcd, err := routed.vcd()
+	vcd, err := traced.vcd()
 	if err != nil {
 		return err
 	}
-	r.add("trace.fetch_ms", ms(time.Since(t)))
+	fetch := time.Since(t)
+	r.add("trace.fetch_ms", ms(fetch))
 	r.add("trace.vcd_bytes", float64(len(vcd)))
 	cs := m.CacheStats()
 	r.add("core.cache_hit_ratio", float64(cs.Hits)/float64(cs.Hits+cs.Misses))
+	// The service ledger splits the traced routed op mix plus its fetch,
+	// debug-http's client 0, by layer: server is the in-process dispatch
+	// and the HTTP handler with its JSON codec.
+	self := map[string]time.Duration{
+		"engine": sums[0],
+		"server": sums[2] - sums[0],
+		"fleet":  sums[3] - sums[2],
+		"trace":  sums[4] - sums[3] + fetch,
+	}
+	for _, line := range ledgerLines("service", self, sums[4]+fetch) {
+		fmt.Println(line)
+	}
 	return nil
 }
 
-// peakRSS reads the process's peak resident set (VmHWM) in MiB.
-func peakRSS() (float64, error) {
-	f, err := os.Open("/proc/self/status")
-	if err != nil {
-		return 0, err
+// partCounts renders a partition's supernode and cut-edge counts ("none"
+// when the preset builds no partition).
+func partCounts(p *partition.Result) string {
+	if p == nil {
+		return "none"
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), "VmHWM:"); ok {
-			kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64)
-			return kb / 1024, err
-		}
-	}
-	return 0, fmt.Errorf("VmHWM not found in /proc/self/status")
+	return fmt.Sprintf("%d supernodes/%d cut edges", p.Count(), p.CutEdges)
+}
+
+// liveHeapMB collects garbage and returns the live heap in MiB.
+func liveHeapMB() float64 {
+	runtime.GC()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	return float64(mem.HeapAlloc) / (1 << 20)
 }
 
 type jsonValue struct {

@@ -166,3 +166,22 @@ func TestSelfTimeSubtractsChildren(t *testing.T) {
 	var nilTracer *tracer
 	nilTracer.begin("engine.step")() // the untraced twin records nothing
 }
+
+// Rates count only the batches' own round trips and add concurrent
+// clients window by window.
+func TestRatesSumClientWindows(t *testing.T) {
+	ms := time.Millisecond
+	a := []done{{100 * ms, 10}, {150 * ms, 20}, {300 * ms, 30}, {10 * ms, 1}}
+	b := []done{{250 * ms, 50}, {250 * ms, 25}, {250 * ms, 25}}
+	if w := windows(a); len(w) != 2 || !near(w[0].khz, 0.12) || !near(w[0].ops, 8) || !near(w[1].khz, 0.1) {
+		t.Fatalf("windows(a) = %+v, want 0.12 kHz / 8 ops/s then 0.1 kHz; the 10 ms tail is dropped", w)
+	}
+	r := &runner{samples: map[string][]float64{}}
+	r.addRates([][]done{a, b})
+	if k := r.samples["sim_khz"]; len(k) != 2 || !near(k[0], 0.32) || !near(k[1], 0.2) {
+		t.Errorf("sim_khz = %v, want [0.32 0.2]: a's two windows plus b's first two", k)
+	}
+	if o := r.samples["ops_per_s"]; len(o) != 2 || !near(o[0], 12) {
+		t.Errorf("ops_per_s = %v, want 12 first", o)
+	}
+}
