@@ -26,6 +26,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"gsim/internal/core"
@@ -55,9 +57,9 @@ type workload struct {
 
 var workloads = []workload{
 	{name: "coremark-rocket", profile: gen.RocketLike(), spec: server.SessionSpec{Engine: "gsim"},
-		kind: coremark, batch: 32, rep: 4096, ckEvery: 16, jobs: 3},
+		kind: coremark, batch: 32, rep: 4096, ckEvery: 16, jobs: 5},
 	{name: "debug-http", profile: gen.StuCoreLike(), spec: server.SessionSpec{Engine: "gsim"},
-		clients: 2, iters: 256, ckEvery: 32, jobs: 10},
+		clients: 2, iters: 1024, ckEvery: 32, jobs: 10},
 	{name: "regress-gang", profile: gen.RocketLike(), spec: server.SessionSpec{Engine: "verilator", Lanes: 8},
 		kind: coremark, batch: 2, rep: 256, ckEvery: 16, jobs: 5},
 }
@@ -73,6 +75,13 @@ var endToEnd = []metricDef{
 	{"checkpoint_ms", "ms"}, {"restore_ms", "ms"},
 	{"op_p50_us", "us"}, {"ops_per_s", "1/s"},
 	{"heap_mb", "MB"},
+}
+
+// wallTime are the wall-time twins of the CPU-time metrics. They are
+// printed beside them but bound nothing: on a shared host they move with
+// other tenants' load.
+var wallTime = []metricDef{
+	{"setup_wall_s", "s"}, {"job_wall_s", "s"}, {"sim_khz_wall", "kHz"}, {"ops_per_s_wall", "1/s"},
 }
 
 var perLayer = []metricDef{
@@ -118,11 +127,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simbench:", err)
 		os.Exit(1)
 	}
-	defs := endToEnd
+	defs, info := endToEnd, wallTime
 	if *traceFlag == 1 {
-		defs = perLayer
+		defs, info = perLayer, nil
 	}
-	if err := r.report(os.Stdout, defs); err != nil {
+	if err := r.report(os.Stdout, defs, info); err != nil {
 		fmt.Fprintln(os.Stderr, "simbench:", err)
 		os.Exit(1)
 	}
@@ -134,14 +143,6 @@ type client struct {
 	tg, fresh target
 	sc        *script
 	want      [][]string
-	done      *[]done // timed batches, when the caller wants rates
-}
-
-// done is one timed batch: its round trip and the cycles it stepped
-// (lane-cycles on a gang).
-type done struct {
-	dur    time.Duration
-	cycles int
 }
 
 // runner holds one run's inputs (FIRRTL text, scripts, oracle answers) and
@@ -156,9 +157,11 @@ type runner struct {
 
 	mu       sync.Mutex
 	samples  map[string][]float64
-	timed    [][]done // each client's timed batches over all jobs
 	tally    tally
 	mismatch string // the first oracle mismatch, for the error report
+
+	// Every op batch any client runs (checks included) adds to these.
+	batches, cycles atomic.Int64 // cycles are lane-cycles on a gang
 }
 
 func newRunner(w workload, seed int64, traced bool) (*runner, error) {
@@ -218,15 +221,13 @@ func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 // each intermediate checkpoint (lane 0's, on a gang) is restored into the
 // scalar fresh session as it is taken. After the final snapshot the fresh
 // session re-steps lane 0 of the batches after its checkpoint, and its peeks
-// and final snapshot bytes are checked. drive returns the time to the end of
-// the first repetition's final snapshot.
-func (r *runner) drive(c client, deadline time.Time) (first time.Duration, err error) {
-	start := time.Now()
+// and final snapshot bytes are checked.
+func (r *runner) drive(c client, deadline time.Time) error {
 	bs := c.sc.batches
 	for rep := 0; rep == 0 || time.Now().Before(deadline); rep++ {
 		if err := c.tg.reset(); err != nil {
 			r.check("reset", false)
-			return first, err
+			return err
 		}
 		restoredAt := -1 // the batch the fresh session's state ends at
 		for i := range bs {
@@ -234,46 +235,45 @@ func (r *runner) drive(c client, deadline time.Time) (first time.Duration, err e
 			got, err := c.tg.run(&bs[i])
 			if err != nil {
 				r.check("batch", false)
-				return first, fmt.Errorf("batch %d: %w", i, err)
+				return fmt.Errorf("batch %d: %w", i, err)
 			}
-			d := time.Since(t)
-			r.add("op_us", us(d))
+			r.add("op_us", us(time.Since(t)))
+			r.stepped(bs[i].cycles * c.sc.lanes)
 			r.check(fmt.Sprintf("batch %d: got %v want %v", i, got, c.want[i]), slices.Equal(got, c.want[i]))
-			// The first batch after reset evaluates the whole design and is
-			// left out of the rates.
-			if c.done != nil && i > 0 {
-				*c.done = append(*c.done, done{dur: d, cycles: bs[i].cycles * c.sc.lanes})
-			}
 			if r.w.ckEvery > 0 && (i+1)%r.w.ckEvery == 0 && i+1 < len(bs) {
 				if _, err := r.checkpoint(c); err != nil {
-					return first, err
+					return err
 				}
 				restoredAt = i
 			}
 		}
 		final, err := r.timedSnapshot(c.tg)
 		if err != nil {
-			return first, err
-		}
-		if rep == 0 {
-			first = time.Since(start)
+			return err
 		}
 		for i := restoredAt + 1; i < len(bs); i++ {
 			got, err := c.fresh.run(&bs[i])
 			if err != nil {
 				r.check("tail batch", false)
-				return first, err
+				return err
 			}
+			r.stepped(bs[i].cycles)
 			r.check(fmt.Sprintf("tail batch %d after restore", i), slices.Equal(got, c.want[i][:1]))
 		}
 		again, err := c.fresh.snapshot()
 		if err != nil {
 			r.check("tail snapshot", false)
-			return first, err
+			return err
 		}
 		r.check("final snapshot bytes after restore and re-step", bytes.Equal(again, final))
 	}
-	return first, nil
+	return nil
+}
+
+// stepped counts one op batch of the given (lane-)cycles.
+func (r *runner) stepped(cycles int) {
+	r.batches.Add(1)
+	r.cycles.Add(int64(cycles))
 }
 
 // timedSnapshot takes one checkpoint_ms sample.
@@ -313,68 +313,33 @@ func (r *runner) endToEnd(seconds time.Duration) error {
 			return err
 		}
 	}
-	r.addRates(r.timed)
 	return nil
 }
 
-// rateWindow is the least stepping time one throughput sample covers.
-// Throughputs are reported as the median over windows, so a collector
-// cycle or a stolen vCPU that slows a few windows barely moves them.
-const rateWindow = 250 * time.Millisecond
-
-// rate is the stepping throughput of one window of timed batches.
-type rate struct{ khz, ops float64 }
-
-// windows cuts one client's timed batches, in order, into windows of at
-// least rateWindow of summed round trips, and returns each window's
-// throughput. Only the batches' own time counts, so the resets,
-// checkpoints and restore checks between them move no rate.
-func windows(ds []done) []rate {
-	var out []rate
-	var busy time.Duration
-	cycles, n := 0, 0
-	for _, d := range ds {
-		busy, cycles, n = busy+d.dur, cycles+d.cycles, n+1
-		if busy >= rateWindow {
-			out = append(out, rate{float64(cycles) / busy.Seconds() / 1e3, float64(n) / busy.Seconds()})
-			busy, cycles, n = 0, 0, 0
-		}
+// cpuTime is the CPU time every thread of the process has used so far. The
+// set-up, job and stepping figures are taken in CPU time: on a shared host
+// a stolen or preempted vCPU stretches wall time but not CPU time.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
 	}
-	return out
-}
-
-// addRates adds one sim_khz and one ops_per_s sample per window index: the
-// sum over the clients of their k-th windows, as the clients step side by
-// side.
-func (r *runner) addRates(clients [][]done) {
-	var ws [][]rate
-	for _, ds := range clients {
-		ws = append(ws, windows(ds))
-	}
-	for k := 0; ; k++ {
-		var sum rate
-		for _, w := range ws {
-			if k >= len(w) {
-				return
-			}
-			sum.khz, sum.ops = sum.khz+w[k].khz, sum.ops+w[k].ops
-		}
-		r.add("sim_khz", sum.khz)
-		r.add("ops_per_s", sum.ops)
-	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // job is one run of the fixed script on a cold compile cache: create the
-// session(s) from FIRRTL text, run the script, snapshot. Its wall time,
-// job_s, ends with the last client's first final snapshot; the clients then
-// keep repeating the script until budget is spent.
+// session(s) from FIRRTL text, then one repetition per client side by side
+// (steps, checkpoints, final snapshot and the restore check). job_s is the
+// CPU time of both. The clients then keep repeating the script until budget
+// is spent, and sim_khz and ops_per_s count every batch they ran, checks
+// included, per CPU second of that stepping.
 func (r *runner) job(budget time.Duration) error {
 	// Collecting the oracle's and the previous job's garbage also gives the
 	// live heap before set-up. The first collection queues the finalizers
 	// of closed sessions; the second frees what they held.
 	runtime.GC()
 	base := liveHeapMB()
-	t0 := time.Now()
+	t0, cpu0 := time.Now(), cpuTime()
 	m := server.NewManager()
 	var cs []client
 	var rg *rig
@@ -387,6 +352,12 @@ func (r *runner) job(budget time.Duration) error {
 			rg.stop()
 		}
 	}()
+	// setup_s is the CPU time from FIRRTL text submitted to the first
+	// session ready.
+	ready := func(t time.Time, cpu time.Duration) {
+		r.add("setup_s", (cpuTime() - cpu).Seconds())
+		r.add("setup_wall_s", time.Since(t).Seconds())
+	}
 	scalar := r.w.spec
 	scalar.Lanes = 0
 	if r.w.clients == 0 {
@@ -394,7 +365,7 @@ func (r *runner) job(budget time.Duration) error {
 		if err != nil {
 			return err
 		}
-		r.add("setup_s", time.Since(t0).Seconds())
+		ready(t0, cpu0)
 		f, err := m.CreateSession(r.src, scalar)
 		if err != nil {
 			s.Close()
@@ -411,13 +382,13 @@ func (r *runner) job(budget time.Duration) error {
 			if i == 0 {
 				spec.TraceLanes = []int{0}
 			}
-			t := time.Now()
+			t, cpu := time.Now(), cpuTime()
 			tg, resp, err := createHTTP(rg.client, rg.routerURL, r.src, spec)
 			if err != nil {
 				return err
 			}
 			if i == 0 {
-				r.add("setup_s", time.Since(t).Seconds())
+				ready(t, cpu)
 			}
 			r.check("second create is a cache hit", resp.CacheHit == (i > 0))
 			fresh, _, err := createHTTP(rg.client, rg.routerURL, r.src, scalar)
@@ -429,9 +400,9 @@ func (r *runner) job(budget time.Duration) error {
 		}
 	}
 	for i := range cs {
-		cs[i].sc, cs[i].want, cs[i].done = r.scs[i], r.wants[i], new([]done)
+		cs[i].sc, cs[i].want = r.scs[i], r.wants[i]
 	}
-	setup := time.Since(t0)
+	setup, setupCPU := time.Since(t0), cpuTime()-cpu0
 	// Settle the heap left by the compile before stepping, outside the
 	// timed job: otherwise whether the collector's first cycle lands
 	// mid-setup or mid-stepping decides how often it runs while stepping,
@@ -441,34 +412,45 @@ func (r *runner) job(budget time.Duration) error {
 	// coremark-rocket.
 	r.add("heap_mb", liveHeapMB()-base)
 
-	driveStart := time.Now()
-	deadline := driveStart.Add(budget)
-	firsts := make([]time.Duration, len(cs))
+	deadline := time.Now().Add(budget)
+	t1, cpu1 := time.Now(), cpuTime()
+	if err := each(cs, func(c client) error { return r.drive(c, time.Time{}) }); err != nil {
+		return err
+	}
+	r.add("job_s", (setupCPU + cpuTime() - cpu1).Seconds())
+	r.add("job_wall_s", (setup + time.Since(t1)).Seconds())
+
+	t2, cpu2 := time.Now(), cpuTime()
+	cycles0, batches0 := r.cycles.Load(), r.batches.Load()
+	if err := each(cs, func(c client) error { return r.drive(c, deadline) }); err != nil {
+		return err
+	}
+	cpu, wall := (cpuTime() - cpu2).Seconds(), time.Since(t2).Seconds()
+	cycles, batches := float64(r.cycles.Load()-cycles0), float64(r.batches.Load()-batches0)
+	r.add("sim_khz", cycles/cpu/1e3)
+	r.add("ops_per_s", batches/cpu)
+	r.add("sim_khz_wall", cycles/wall/1e3)
+	r.add("ops_per_s_wall", batches/wall)
+	if rg != nil {
+		vcd, err := cs[0].tg.(*httpTarget).vcd()
+		r.check("traced lane 0 waveform fetched", err == nil && len(vcd) > 0)
+	}
+	return nil
+}
+
+// each runs f for every client side by side and waits for all of them.
+func each(cs []client, f func(client) error) error {
 	errs := make([]error, len(cs))
 	var wg sync.WaitGroup
 	for i := range cs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			firsts[i], errs[i] = r.drive(cs[i], deadline)
+			errs[i] = f(cs[i])
 		}(i)
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	if r.timed == nil {
-		r.timed = make([][]done, len(cs))
-	}
-	for i := range cs {
-		r.timed[i] = append(r.timed[i], *cs[i].done...)
-	}
-	r.add("job_s", (setup + slices.Max(firsts)).Seconds())
-	if rg != nil {
-		vcd, err := cs[0].tg.(*httpTarget).vcd()
-		r.check("traced lane 0 waveform fetched", err == nil && len(vcd) > 0)
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // coreConfig is the core configuration server.SessionSpec resolves to for
@@ -529,7 +511,7 @@ func (r *runner) layeredJob(tr *tracer) (time.Duration, *core.CompiledDesign, la
 			tg.close()
 			return 0, nil, lc, err
 		}
-		_, err = r.drive(client{tg: tg, fresh: fresh, sc: sc, want: r.wants[i]}, time.Time{})
+		err = r.drive(client{tg: tg, fresh: fresh, sc: sc, want: r.wants[i]}, time.Time{})
 		st := tg.stats()
 		lc.st.Cycles += st.Cycles
 		lc.st.NodeEvals += st.NodeEvals
@@ -758,10 +740,10 @@ type jsonValue struct {
 	Unit  string  `json:"unit"`
 }
 
-// report prints every metric in defs with its median (the reported value),
-// quartiles, tail percentile and sample count, then the fail ratio, then
-// the JSON result line.
-func (r *runner) report(out io.Writer, defs []metricDef) error {
+// report prints every metric in defs and info with its median (the
+// reported value), quartiles, tail percentile and sample count, then the
+// fail ratio, then the JSON result line, which holds the defs alone.
+func (r *runner) report(out io.Writer, defs, info []metricDef) error {
 	r.samples["op_p50_us"] = r.samples["op_us"]
 	res := struct {
 		Correct   bool                 `json:"correct"`
@@ -769,7 +751,7 @@ func (r *runner) report(out io.Writer, defs []metricDef) error {
 		Failed    int                  `json:"failed"`
 		Metrics   map[string]jsonValue `json:"metrics"`
 	}{Attempted: r.tally.attempted, Failed: r.tally.failed, Metrics: map[string]jsonValue{}}
-	for _, d := range defs {
+	for i, d := range append(slices.Clip(defs), info...) {
 		xs := r.samples[d.name]
 		v := median(xs)
 		if len(xs) == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
@@ -782,7 +764,9 @@ func (r *runner) report(out io.Writer, defs []metricDef) error {
 		q1, _, q3 := quartiles(xs)
 		fmt.Fprintf(out, "# %-30s %14.6g %-6s quartiles %.6g %.6g  %s  n=%d\n",
 			d.name, v, d.unit, q1, q3, tail, len(xs))
-		res.Metrics[d.name] = jsonValue{Value: v, Unit: d.unit}
+		if i < len(defs) {
+			res.Metrics[d.name] = jsonValue{Value: v, Unit: d.unit}
+		}
 	}
 	fmt.Fprintf(out, "# %-30s %14.6g %-6s (%d failed of %d attempted)\n", "fail_ratio", r.tally.ratio(), "ratio", r.tally.failed, r.tally.attempted)
 	if r.mismatch != "" {

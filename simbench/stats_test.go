@@ -107,11 +107,13 @@ func TestReportSampleCounts(t *testing.T) {
 	r.check("mismatch", false)
 	var out bytes.Buffer
 	defs := []metricDef{{"setup_s", "s"}, {"op_p50_us", "us"}}
-	if err := r.report(&out, defs); err != nil {
+	info := []metricDef{{"job_wall_s", "s"}}
+	r.samples["job_wall_s"] = []float64{4, 5}
+	if err := r.report(&out, defs, info); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	for _, want := range []string{"setup_s", "n=3", "op_p50_us", "n=1000", "fail_ratio", "0.5"} {
+	for _, want := range []string{"setup_s", "n=3", "op_p50_us", "n=1000", "job_wall_s", "n=2", "fail_ratio", "0.5"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, out.String())
 		}
@@ -136,7 +138,7 @@ func TestReportSampleCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Correct || res.Attempted != 2 || res.Failed != 1 || len(res.Metrics) != 2 {
-		t.Errorf("result = %+v", res)
+		t.Errorf("result = %+v; info metrics stay out of the JSON line", res)
 	}
 	if p50 := res.Metrics["op_p50_us"].Value; !near(p50, 499.5) {
 		t.Errorf("op_p50_us = %v, want the median 499.5", p50)
@@ -144,7 +146,7 @@ func TestReportSampleCounts(t *testing.T) {
 	if !strings.Contains(out.String(), "p99 ") {
 		t.Errorf("1000 op samples must report their p99 tail:\n%s", out.String())
 	}
-	if err := r.report(&out, []metricDef{{"missing", "s"}}); err == nil {
+	if err := r.report(&out, []metricDef{{"missing", "s"}}, nil); err == nil {
 		t.Error("a metric without samples must be an error")
 	}
 }
@@ -165,23 +167,4 @@ func TestSelfTimeSubtractsChildren(t *testing.T) {
 	}
 	var nilTracer *tracer
 	nilTracer.begin("engine.step")() // the untraced twin records nothing
-}
-
-// Rates count only the batches' own round trips and add concurrent
-// clients window by window.
-func TestRatesSumClientWindows(t *testing.T) {
-	ms := time.Millisecond
-	a := []done{{100 * ms, 10}, {150 * ms, 20}, {300 * ms, 30}, {10 * ms, 1}}
-	b := []done{{250 * ms, 50}, {250 * ms, 25}, {250 * ms, 25}}
-	if w := windows(a); len(w) != 2 || !near(w[0].khz, 0.12) || !near(w[0].ops, 8) || !near(w[1].khz, 0.1) {
-		t.Fatalf("windows(a) = %+v, want 0.12 kHz / 8 ops/s then 0.1 kHz; the 10 ms tail is dropped", w)
-	}
-	r := &runner{samples: map[string][]float64{}}
-	r.addRates([][]done{a, b})
-	if k := r.samples["sim_khz"]; len(k) != 2 || !near(k[0], 0.32) || !near(k[1], 0.2) {
-		t.Errorf("sim_khz = %v, want [0.32 0.2]: a's two windows plus b's first two", k)
-	}
-	if o := r.samples["ops_per_s"]; len(o) != 2 || !near(o[0], 12) {
-		t.Errorf("ops_per_s = %v, want 12 first", o)
-	}
 }
