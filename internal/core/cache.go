@@ -246,7 +246,8 @@ func designCost(d *CompiledDesign) int64 {
 // existed (a cache hit — the caller shares a previous compile). On success
 // the caller holds a reference pinning the entry against eviction; it must
 // call Release(key) when the design is no longer in use (session close).
-// Failed compiles return the cached error and hold no reference.
+// Failed compiles return the cached error and hold no reference; a compile
+// that panics is a failed compile whose error carries the panic value.
 func (c *CompileCache) Get(key string, compile func() (*CompiledDesign, error)) (*CompiledDesign, bool, error) {
 	c.mu.Lock()
 	m := c.m
@@ -271,10 +272,18 @@ func (c *CompileCache) Get(key string, compile func() (*CompiledDesign, error)) 
 
 	e.once.Do(func() {
 		start := time.Now()
+		// A panicking compile is cached as its error like any failed one:
+		// letting the panic escape would leave the entry done with neither
+		// a design nor an error, for every later Get of the key.
+		defer func() {
+			if r := recover(); r != nil {
+				e.design, e.err = nil, fmt.Errorf("core: compile panicked: %v", r)
+			}
+			if m != nil {
+				m.CompileSeconds.Observe(time.Since(start).Seconds())
+			}
+		}()
 		e.design, e.err = compile()
-		if m != nil {
-			m.CompileSeconds.Observe(time.Since(start).Seconds())
-		}
 	})
 
 	c.mu.Lock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"gsim/internal/faultpoint"
@@ -142,6 +143,34 @@ func TestCacheCompileFailFaultpoint(t *testing.T) {
 	}
 	// A different key compiles fine; the fault was one-shot.
 	if _, k := mustCompile(t, c, 1); k == "" {
+		t.Fatal("unexpected")
+	}
+}
+
+// TestCachePanickingCompile: a compile that panics must fail its key like a
+// returned error — cached, holding no reference — instead of escaping Get
+// and leaving an entry with neither design nor error behind.
+func TestCachePanickingCompile(t *testing.T) {
+	c := NewCompileCache()
+	_, _, err := c.Get("boom", func() (*CompiledDesign, error) { panic("compile bug") })
+	if err == nil || !strings.Contains(err.Error(), "compile bug") {
+		t.Fatalf("panic not surfaced as an error: %v", err)
+	}
+	_, hit, err := c.Get("boom", func() (*CompiledDesign, error) {
+		t.Fatal("retried a panicked compile")
+		return nil, nil
+	})
+	if err == nil || !hit {
+		t.Fatalf("second Get of a panicked key: hit=%v err=%v", hit, err)
+	}
+	c.mu.Lock()
+	refs := c.entries["boom"].refs
+	c.mu.Unlock()
+	if refs != 0 {
+		t.Fatalf("panicked compile left %d references pinned", refs)
+	}
+	// The cache still serves other keys.
+	if _, k := mustCompile(t, c, 0); k == "" {
 		t.Fatal("unexpected")
 	}
 }

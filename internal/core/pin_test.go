@@ -39,11 +39,13 @@ var passPins = map[string]passPin{
 	"rocket-like/arcilator":  {"453a9a0133aa7d1b193a920eceafbe9dbb8c1687b843163350441fc8d2dff438", "2d50c8902d8ec63c", passes.Result{Simplified: 48, AliasRemoved: 0, DeadRemoved: 448, Inlined: 178388, Extracted: 17294, ResetsHoisted: 0, NodesSplit: 0}, 0, 0},
 	"boom-like/gsim":         {"f16ca42a3be07f316bee3861c5a1e301cebd2eeb59f27e3bfbc39fb7e071a390", "ef15e6b4fb60a9c9", passes.Result{Simplified: 60, AliasRemoved: 12020, DeadRemoved: 840, Inlined: 429367, Extracted: 42018, ResetsHoisted: 1, NodesSplit: 1760}, 22337, 126398},
 	"rocket-like-fir/gsim":   {"32ca6b65da9a019101a12ca8e67ddc6f886a69b4d050e8376af82a88480ccd2d", "780c5434d293ff73", passes.Result{Simplified: 1009, AliasRemoved: 7136, DeadRemoved: 480, Inlined: 174550, Extracted: 16334, ResetsHoisted: 1, NodesSplit: 1024}, 9669, 49285},
-	"stucore/gsim":           {"5b142843d2e75663349f8c849ac4bcc9bfee7d5937d45579377d36ce9ab03059", "22bbc658a3b4aaa2", passes.Result{Simplified: 4, AliasRemoved: 5, DeadRemoved: 2, Inlined: 189, Extracted: 4, ResetsHoisted: 0, NodesSplit: 2}, 9, 43},
-	"alu/gsim":               {"6ce875036edae6686bab5d853ae05ca388a7c51b7a874d96fa70df9e1ac5df89", "635e96764241f66e", passes.Result{Simplified: 0, AliasRemoved: 0, DeadRemoved: 0, Inlined: 28, Extracted: 0, ResetsHoisted: 1, NodesSplit: 0}, 2, 0},
-	"counter/gsim":           {"8d5cdc7a7c7ca02fe89da745430c71167a1de5852e81262a90c687c54ff23d5a", "43132bf9fc39296d", passes.Result{Simplified: 0, AliasRemoved: 0, DeadRemoved: 0, Inlined: 15, Extracted: 0, ResetsHoisted: 1, NodesSplit: 0}, 1, 0},
-	"fifo/gsim":              {"fc193b0286063a698744cb4d64a14b21f525fc3587efaccf85d33bbfb6f17f57", "b9538556cccf28cc", passes.Result{Simplified: 0, AliasRemoved: 4, DeadRemoved: 3, Inlined: 20, Extracted: 0, ResetsHoisted: 3, NodesSplit: 0}, 3, 4},
-	"lfsr/gsim":              {"ad61b8450ee402e95acb21ed2b07978fb60b4d1f318a28b656da835daa84bd64", "f380c997b3cba29a", passes.Result{Simplified: 0, AliasRemoved: 3, DeadRemoved: 3, Inlined: 16, Extracted: 0, ResetsHoisted: 2, NodesSplit: 0}, 3, 1},
+	// The core has an output pc and a node pc_out; the writer renames the
+	// node to pc_out_2 so it no longer redeclares the port pc_out.
+	"stucore/gsim": {"5b142843d2e75663349f8c849ac4bcc9bfee7d5937d45579377d36ce9ab03059", "b75cc23dbeb05a52", passes.Result{Simplified: 4, AliasRemoved: 5, DeadRemoved: 2, Inlined: 189, Extracted: 4, ResetsHoisted: 0, NodesSplit: 2}, 9, 43},
+	"alu/gsim":     {"6ce875036edae6686bab5d853ae05ca388a7c51b7a874d96fa70df9e1ac5df89", "635e96764241f66e", passes.Result{Simplified: 0, AliasRemoved: 0, DeadRemoved: 0, Inlined: 28, Extracted: 0, ResetsHoisted: 1, NodesSplit: 0}, 2, 0},
+	"counter/gsim": {"8d5cdc7a7c7ca02fe89da745430c71167a1de5852e81262a90c687c54ff23d5a", "43132bf9fc39296d", passes.Result{Simplified: 0, AliasRemoved: 0, DeadRemoved: 0, Inlined: 15, Extracted: 0, ResetsHoisted: 1, NodesSplit: 0}, 1, 0},
+	"fifo/gsim":    {"fc193b0286063a698744cb4d64a14b21f525fc3587efaccf85d33bbfb6f17f57", "b9538556cccf28cc", passes.Result{Simplified: 0, AliasRemoved: 4, DeadRemoved: 3, Inlined: 20, Extracted: 0, ResetsHoisted: 3, NodesSplit: 0}, 3, 4},
+	"lfsr/gsim":    {"ad61b8450ee402e95acb21ed2b07978fb60b4d1f318a28b656da835daa84bd64", "f380c997b3cba29a", passes.Result{Simplified: 0, AliasRemoved: 3, DeadRemoved: 3, Inlined: 16, Extracted: 0, ResetsHoisted: 2, NodesSplit: 0}, 3, 1},
 }
 
 // pinCases returns the pinned (design, preset) pairs: the two smaller

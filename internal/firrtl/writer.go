@@ -23,23 +23,38 @@ func Write(w io.Writer, g *ir.Graph) error {
 	fmt.Fprintf(w, "circuit %s :\n  module %s :\n", name, name)
 	fmt.Fprintf(w, "    input clock : Clock\n")
 
-	// Stable rename: FIRRTL identifiers cannot contain '.' or '#'.
-	names := map[*ir.Node]string{}
+	// Stable rename: FIRRTL identifiers cannot contain '.' or '#'. Each
+	// output is exposed as a port named <name>_out; port names are reserved
+	// first, so a node that happens to carry one (the RV32I core has both
+	// an output pc and a node pc_out) is renamed instead of redeclaring it.
 	used := map[string]bool{"clock": true}
-	for _, n := range g.Nodes {
-		if n == nil {
-			continue
-		}
-		base := sanitizeID(n.Name)
-		if base == "" {
-			base = fmt.Sprintf("s%d", n.ID)
-		}
+	unique := func(base string) string {
 		cand := base
 		for i := 2; used[cand]; i++ {
 			cand = fmt.Sprintf("%s_%d", base, i)
 		}
 		used[cand] = true
-		names[n] = cand
+		return cand
+	}
+	baseName := func(n *ir.Node) string {
+		if base := sanitizeID(n.Name); base != "" {
+			return base
+		}
+		return fmt.Sprintf("s%d", n.ID)
+	}
+	ports := map[*ir.Node]string{}
+	var outputs []*ir.Node
+	for _, n := range g.Nodes {
+		if n != nil && n.IsOutput {
+			outputs = append(outputs, n)
+			ports[n] = unique(baseName(n) + "_out")
+		}
+	}
+	names := map[*ir.Node]string{}
+	for _, n := range g.Nodes {
+		if n != nil {
+			names[n] = unique(baseName(n))
+		}
 	}
 
 	// Ports.
@@ -48,12 +63,8 @@ func Write(w io.Writer, g *ir.Graph) error {
 			fmt.Fprintf(w, "    input %s : UInt<%d>\n", names[n], n.Width)
 		}
 	}
-	var outputs []*ir.Node
-	for _, n := range g.Nodes {
-		if n != nil && n.IsOutput {
-			outputs = append(outputs, n)
-			fmt.Fprintf(w, "    output %s_out : UInt<%d>\n", names[n], n.Width)
-		}
+	for _, n := range outputs {
+		fmt.Fprintf(w, "    output %s : UInt<%d>\n", ports[n], n.Width)
 	}
 	fmt.Fprintln(w)
 
@@ -156,7 +167,7 @@ func Write(w io.Writer, g *ir.Graph) error {
 		}
 	}
 	for _, n := range outputs {
-		fmt.Fprintf(w, "    %s_out <= %s\n", names[n], pr.expr(ir.Ref(n)))
+		fmt.Fprintf(w, "    %s <= %s\n", ports[n], pr.expr(ir.Ref(n)))
 	}
 	return nil
 }

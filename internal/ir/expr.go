@@ -1,8 +1,10 @@
 package ir
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"strconv"
 	"strings"
 
 	"gsim/internal/bitvec"
@@ -192,37 +194,38 @@ func StructEq(a, b *Expr) bool {
 
 var exprSeed = maphash.MakeSeed()
 
-// Hash returns a structural hash of e, consistent with StructEq.
+// Hash returns a structural hash of e, consistent with StructEq. It is
+// built bottom-up: a tree's hash is HashNode of its root over its
+// arguments' hashes, so a pass that needs the hash of every subtree gets
+// them all from one post-order walk instead of rehashing at each level.
 func (e *Expr) Hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(exprSeed)
-	e.hashInto(&h)
-	return h.Sum64()
+	var args [3]uint64
+	for i, a := range e.Args {
+		args[i] = a.Hash()
+	}
+	return e.HashNode(args[:len(e.Args)])
 }
 
-func (e *Expr) hashInto(h *maphash.Hash) {
-	h.WriteByte(byte(e.Op))
-	writeInt := func(v int) {
-		for i := 0; i < 4; i++ {
-			h.WriteByte(byte(v >> (8 * i)))
-		}
-	}
-	writeInt(e.Width)
-	writeInt(e.Hi)
-	writeInt(e.Lo)
+// HashNode returns Hash(e) given the hashes of e's arguments, in order. It
+// hashes e's own fields and the argument hashes as whole words.
+func (e *Expr) HashNode(argHashes []uint64) uint64 {
+	var buf [64]byte
+	b := append(buf[:0], byte(e.Op))
+	b = binary.LittleEndian.AppendUint32(b, uint32(e.Width))
+	b = binary.LittleEndian.AppendUint32(b, uint32(e.Hi))
+	b = binary.LittleEndian.AppendUint32(b, uint32(e.Lo))
 	switch e.Op {
 	case OpRef:
-		writeInt(e.Node.ID)
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Node.ID))
 	case OpConst:
 		for _, w := range e.Imm.W {
-			for i := 0; i < 8; i++ {
-				h.WriteByte(byte(w >> (8 * i)))
-			}
+			b = binary.LittleEndian.AppendUint64(b, w)
 		}
 	}
-	for _, a := range e.Args {
-		a.hashInto(h)
+	for _, h := range argHashes {
+		b = binary.LittleEndian.AppendUint64(b, h)
 	}
+	return maphash.Bytes(exprSeed, b)
 }
 
 // String renders the expression in FIRRTL-ish prefix form.
@@ -237,11 +240,19 @@ func (e *Expr) format(sb *strings.Builder) {
 	case OpRef:
 		sb.WriteString(e.Node.Name)
 	case OpConst:
-		fmt.Fprintf(sb, "UInt<%d>(%s)", e.Width, e.Imm.String())
+		sb.WriteString("UInt<")
+		sb.WriteString(strconv.Itoa(e.Width))
+		sb.WriteString(">(")
+		sb.WriteString(e.Imm.String())
+		sb.WriteByte(')')
 	case OpBits:
 		sb.WriteString("bits(")
 		e.Args[0].format(sb)
-		fmt.Fprintf(sb, ", %d, %d)", e.Hi, e.Lo)
+		sb.WriteString(", ")
+		sb.WriteString(strconv.Itoa(e.Hi))
+		sb.WriteString(", ")
+		sb.WriteString(strconv.Itoa(e.Lo))
+		sb.WriteByte(')')
 	case OpShl, OpShr, OpPad, OpSExt:
 		sb.WriteString(e.Op.String())
 		sb.WriteByte('(')
@@ -250,7 +261,9 @@ func (e *Expr) format(sb *strings.Builder) {
 		if e.Op == OpPad || e.Op == OpSExt {
 			n = e.Width
 		}
-		fmt.Fprintf(sb, ", %d)", n)
+		sb.WriteString(", ")
+		sb.WriteString(strconv.Itoa(n))
+		sb.WriteByte(')')
 	default:
 		sb.WriteString(e.Op.String())
 		sb.WriteByte('(')

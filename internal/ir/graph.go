@@ -2,7 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gsim/internal/bitvec"
 )
@@ -61,15 +61,15 @@ func (g *Graph) NumNodes() int {
 // multiplicity per distinct pair.
 func (g *Graph) NumEdges() int {
 	c := 0
-	for _, n := range g.Nodes {
+	seen := make([]int, len(g.Nodes)) // seen[u] == v+1 once v's edge from u is counted
+	for vid, n := range g.Nodes {
 		if n == nil {
 			continue
 		}
-		seen := map[int]bool{}
 		n.EachExpr(func(slot **Expr) {
 			(*slot).Walk(func(e *Expr) {
-				if e.Op == OpRef && !seen[e.Node.ID] {
-					seen[e.Node.ID] = true
+				if e.Op == OpRef && seen[e.Node.ID] != vid+1 {
+					seen[e.Node.ID] = vid + 1
 					c++
 				}
 			})
@@ -120,33 +120,30 @@ type Adjacency struct {
 func (g *Graph) BuildAdjacency() *Adjacency {
 	n := len(g.Nodes)
 	adj := &Adjacency{Succs: make([][]int32, n), Preds: make([][]int32, n)}
-	for _, v := range g.Nodes {
+	seen := make([]int32, n) // seen[u] == v+1 once u is a recorded pred of v
+	for vid, v := range g.Nodes {
 		if v == nil {
 			continue
 		}
-		seen := map[int32]bool{}
+		stamp := int32(vid + 1)
 		v.EachExpr(func(slot **Expr) {
 			(*slot).Walk(func(e *Expr) {
 				if e.Op == OpRef {
 					u := int32(e.Node.ID)
-					if !seen[u] {
-						seen[u] = true
-						adj.Preds[v.ID] = append(adj.Preds[v.ID], u)
-						adj.Succs[u] = append(adj.Succs[u], int32(v.ID))
+					if seen[u] != stamp {
+						seen[u] = stamp
+						adj.Preds[vid] = append(adj.Preds[vid], u)
+						adj.Succs[u] = append(adj.Succs[u], int32(vid))
 					}
 				}
 			})
 		})
 	}
 	for i := range adj.Succs {
-		sortInt32(adj.Succs[i])
-		sortInt32(adj.Preds[i])
+		slices.Sort(adj.Succs[i])
+		slices.Sort(adj.Preds[i])
 	}
 	return adj
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // TopoOrder returns all live node IDs in a deterministic topological order of
@@ -173,11 +170,14 @@ func (g *Graph) TopoOrder() ([]int32, error) {
 	n := len(g.Nodes)
 	indeg := make([]int32, n)
 	succs := make([][]int32, n)
-	for _, v := range g.Nodes {
+	// seen[u] == v+1 once the edge u->v is recorded: deduplicates a node's
+	// references without a set per node.
+	seen := make([]int32, n)
+	for vid, v := range g.Nodes {
 		if v == nil {
 			continue
 		}
-		seen := map[int32]bool{}
+		stamp := int32(vid + 1)
 		v.EachExpr(func(slot **Expr) {
 			(*slot).Walk(func(e *Expr) {
 				if e.Op != OpRef {
@@ -187,11 +187,10 @@ func (g *Graph) TopoOrder() ([]int32, error) {
 				if u.Kind == KindReg || u.Kind == KindInput {
 					return // current-value read: no ordering constraint
 				}
-				uid := int32(u.ID)
-				if !seen[uid] {
-					seen[uid] = true
-					succs[uid] = append(succs[uid], int32(v.ID))
-					indeg[v.ID]++
+				if seen[u.ID] != stamp {
+					seen[u.ID] = stamp
+					succs[u.ID] = append(succs[u.ID], int32(vid))
+					indeg[vid]++
 				}
 			})
 		})

@@ -1,8 +1,8 @@
 package passes
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"gsim/internal/bitvec"
 	"gsim/internal/ir"
@@ -38,35 +38,29 @@ type useInfo struct {
 }
 
 func splitRound(g *ir.Graph, maxParts int) int {
-	uses := map[*ir.Node]*useInfo{}
-	get := func(n *ir.Node) *useInfo {
-		u := uses[n]
-		if u == nil {
-			u = &useInfo{}
-			uses[n] = u
+	// uses[id] is how node id is read.
+	uses := make([]useInfo, len(g.Nodes))
+	var scan func(e *ir.Expr)
+	scan = func(e *ir.Expr) {
+		switch {
+		case e.Op == ir.OpBits && e.Args[0].Op == ir.OpRef:
+			u := &uses[e.Args[0].Node.ID]
+			u.ranges = append(u.ranges, [2]int{e.Lo, e.Hi})
+			return // the inner ref is a slice use, not a full use
+		case e.Op == ir.OpRef:
+			uses[e.Node.ID].full = true
 		}
-		return u
+		for _, a := range e.Args {
+			scan(a)
+		}
 	}
 	for _, n := range g.Nodes {
 		if n == nil {
 			continue
 		}
-		n.EachExpr(func(slot **ir.Expr) {
-			ir.WalkPtr(slot, func(pe **ir.Expr) bool {
-				e := *pe
-				if e.Op == ir.OpBits && e.Args[0].Op == ir.OpRef {
-					u := get(e.Args[0].Node)
-					u.ranges = append(u.ranges, [2]int{e.Lo, e.Hi})
-					return false // the inner ref is a slice use, not a full use
-				}
-				if e.Op == ir.OpRef {
-					get(e.Node).full = true
-				}
-				return true
-			})
-		})
+		n.EachExpr(func(slot **ir.Expr) { scan(*slot) })
 		if n.Kind == ir.KindReg && n.ResetSig != nil {
-			get(n.ResetSig).full = true
+			uses[n.ResetSig.ID].full = true
 		}
 	}
 
@@ -74,16 +68,16 @@ func splitRound(g *ir.Graph, maxParts int) int {
 	// per-candidate rewrite walk would make the pass quadratic in graph
 	// size (measured as minutes on the BOOM-scale design).
 	var plans []*splitPlan
-	byNode := map[*ir.Node]*splitPlan{}
-	for _, d := range g.Live() {
-		if d.IsOutput || d.Width < 2 {
+	byNode := make([]*splitPlan, len(g.Nodes)) // byNode[id] is id's plan
+	for _, d := range g.Nodes {
+		if d == nil || d.IsOutput || d.Width < 2 {
 			continue
 		}
 		if d.Kind != ir.KindComb && d.Kind != ir.KindReg {
 			continue
 		}
-		u := uses[d]
-		if u == nil || u.full || len(u.ranges) < 2 {
+		u := &uses[d.ID]
+		if u.full || len(u.ranges) < 2 {
 			continue
 		}
 		cuts := cutPoints(d.Width, u.ranges)
@@ -92,7 +86,7 @@ func splitRound(g *ir.Graph, maxParts int) int {
 		}
 		if p := planSplit(d, cuts); p != nil {
 			plans = append(plans, p)
-			byNode[d] = p
+			byNode[d.ID] = p
 		}
 	}
 	if len(plans) == 0 {
@@ -104,23 +98,26 @@ func splitRound(g *ir.Graph, maxParts int) int {
 	}
 	// One rewrite pass over everything, including the new sub-nodes (a
 	// split register's parts slice the original register through its old
-	// name and must be redirected too).
-	for _, n := range g.Nodes {
-		if n == nil {
-			continue
+	// name and must be redirected too). The sub-nodes are never split in
+	// this round, so they have no byNode entry.
+	var rewrite func(pe **ir.Expr)
+	rewrite = func(pe **ir.Expr) {
+		e := *pe
+		if e.Op == ir.OpBits && e.Args[0].Op == ir.OpRef {
+			if id := e.Args[0].Node.ID; id < len(byNode) && byNode[id] != nil {
+				p := byNode[id]
+				*pe = composeParts(p.cuts, p.parts, e.Hi, e.Lo)
+				return
+			}
 		}
-		n.EachExpr(func(slot **ir.Expr) {
-			ir.WalkPtr(slot, func(pe **ir.Expr) bool {
-				e := *pe
-				if e.Op == ir.OpBits && e.Args[0].Op == ir.OpRef {
-					if p, ok := byNode[e.Args[0].Node]; ok {
-						*pe = composeParts(p.cuts, p.parts, e.Hi, e.Lo)
-						return false
-					}
-				}
-				return true
-			})
-		})
+		for i := range e.Args {
+			rewrite(&e.Args[i])
+		}
+	}
+	for _, n := range g.Nodes {
+		if n != nil {
+			n.EachExpr(rewrite)
+		}
 	}
 	for _, p := range plans {
 		g.Nodes[p.node.ID] = nil
@@ -159,7 +156,7 @@ func materialize(g *ir.Graph, p *splitPlan) {
 	for i := range p.partExprs {
 		hi, lo := p.cuts[i+1]-1, p.cuts[i]
 		nn := &ir.Node{
-			Name:  fmt.Sprintf("%s_%d_%d", d.Name, hi, lo),
+			Name:  d.Name + "_" + strconv.Itoa(hi) + "_" + strconv.Itoa(lo),
 			Kind:  d.Kind,
 			Width: hi - lo + 1,
 			Expr:  p.partExprs[i],
@@ -179,17 +176,13 @@ func materialize(g *ir.Graph, p *splitPlan) {
 // cutPoints returns the sorted distinct cut positions {0, ..., width}
 // implied by the use ranges.
 func cutPoints(width int, ranges [][2]int) []int {
-	set := map[int]bool{0: true, width: true}
+	cuts := make([]int, 0, 2*len(ranges)+2)
+	cuts = append(cuts, 0, width)
 	for _, r := range ranges {
-		set[r[0]] = true
-		set[r[1]+1] = true
+		cuts = append(cuts, r[0], r[1]+1)
 	}
-	cuts := make([]int, 0, len(set))
-	for c := range set {
-		cuts = append(cuts, c)
-	}
-	sort.Ints(cuts)
-	return cuts
+	slices.Sort(cuts)
+	return slices.Compact(cuts)
 }
 
 // composeParts builds the expression for bits [hi:lo] of the split node out

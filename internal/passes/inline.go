@@ -1,8 +1,8 @@
 package passes
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"gsim/internal/ir"
 )
@@ -38,18 +38,34 @@ func inlineNodes(g *ir.Graph, costNode, maxCost int) int {
 		})
 	}
 
-	inlined := map[*ir.Node]*ir.Expr{}
-	resolve := func(slot **ir.Expr) {
-		ir.WalkPtr(slot, func(pe **ir.Expr) bool {
-			e := *pe
-			if e.Op == ir.OpRef {
-				if repl, ok := inlined[e.Node]; ok {
-					*pe = repl.Clone()
-					return false // replacement is already fully resolved
-				}
+	// inlined[id] is an inlined node's resolved expression and cost[id] its
+	// Cost. Once a node is inlined, refs[id] counts the substitutions still
+	// to come: each takes a copy except the last, which takes the tree
+	// itself, so a chain of inlined nodes is never copied once per level.
+	inlined := make([]*ir.Expr, len(g.Nodes))
+	cost := make([]int, len(g.Nodes))
+	// resolve substitutes inlined nodes into the tree at pe and returns the
+	// resolved tree's Cost.
+	var resolve func(pe **ir.Expr) int
+	resolve = func(pe **ir.Expr) int {
+		e := *pe
+		if e.Op == ir.OpRef {
+			id := e.Node.ID
+			repl := inlined[id]
+			if repl == nil {
+				return 0
 			}
-			return true
-		})
+			if refs[id]--; refs[id] != 0 {
+				repl = repl.Clone()
+			}
+			*pe = repl // already fully resolved
+			return cost[id]
+		}
+		c := e.Op.Cost()
+		for i := range e.Args {
+			c += resolve(&e.Args[i])
+		}
+		return c
 	}
 
 	count := 0
@@ -60,22 +76,22 @@ func inlineNodes(g *ir.Graph, costNode, maxCost int) int {
 		}
 		// Resolve references to already-inlined nodes first so this node's
 		// cost reflects the substitutions.
-		n.EachExpr(resolve)
-		if keep[n] || n.Kind != ir.KindComb {
+		var c int
+		n.EachExpr(func(slot **ir.Expr) { c = resolve(slot) })
+		if keep[n.ID] || n.Kind != ir.KindComb {
 			continue
 		}
 		k := refs[n.ID]
 		if k == 0 {
 			continue // dead; DCE's business
 		}
-		c := n.Expr.Cost()
 		if c > maxCost {
 			continue
 		}
 		// The paper's trade-off: keeping the node costs c + cost_node;
 		// inlining costs c per reference.
 		if c*k <= c+costNode {
-			inlined[n] = n.Expr
+			inlined[n.ID], cost[n.ID] = n.Expr, c
 			g.Nodes[n.ID] = nil
 			count++
 		}
@@ -88,10 +104,54 @@ func inlineNodes(g *ir.Graph, costNode, maxCost int) int {
 	// readers, which topological order does not constrain).
 	for _, n := range g.Nodes {
 		if n != nil {
-			n.EachExpr(resolve)
+			n.EachExpr(func(slot **ir.Expr) { resolve(slot) })
 		}
 	}
 	return count
+}
+
+// subtrees lists every subtree of one expression tree in post-order with
+// its structural hash (ir.Expr.Hash), Cost and size in nodes. Computing all
+// of them in one bottom-up walk keeps a per-subtree lookup linear in the
+// tree; the buffers are reused from tree to tree.
+type subtrees struct {
+	exprs []*ir.Expr
+	hash  []uint64
+	cost  []int
+	size  []int
+}
+
+func (s *subtrees) build(root *ir.Expr) {
+	s.exprs, s.hash, s.cost, s.size = s.exprs[:0], s.hash[:0], s.cost[:0], s.size[:0]
+	s.visit(root)
+}
+
+// visit appends e's subtree and returns e's index.
+func (s *subtrees) visit(e *ir.Expr) int {
+	start := len(s.exprs)
+	var args [3]uint64
+	c := e.Op.Cost()
+	for i, a := range e.Args {
+		j := s.visit(a)
+		args[i] = s.hash[j]
+		c += s.cost[j]
+	}
+	s.exprs = append(s.exprs, e)
+	s.hash = append(s.hash, e.HashNode(args[:len(e.Args)]))
+	s.cost = append(s.cost, c)
+	s.size = append(s.size, len(s.exprs)-start)
+	return len(s.exprs) - 1
+}
+
+// args returns the indices of the arguments of the subtree at index p;
+// only the first len(s.exprs[p].Args) entries are set.
+func (s *subtrees) args(p int) (idx [3]int) {
+	q := p - 1
+	for i := len(s.exprs[p].Args) - 1; i >= 0; i-- {
+		idx[i] = q
+		q -= s.size[q]
+	}
+	return idx
 }
 
 // extractCommon is the opposite direction: common subexpressions whose
@@ -102,34 +162,34 @@ func inlineNodes(g *ir.Graph, costNode, maxCost int) int {
 func extractCommon(g *ir.Graph, costNode int) int {
 	type vnInfo struct {
 		expr  *ir.Expr // representative
+		hash  uint64
 		count int
 		cost  int
+		key   string // canonical rendering, set once chosen
 	}
 	table := map[uint64]*vnInfo{}
+	var st subtrees
 
 	// Count structurally identical non-trivial subexpressions.
-	var scan func(e *ir.Expr)
-	scan = func(e *ir.Expr) {
-		for _, a := range e.Args {
-			scan(a)
-		}
-		if e.Op == ir.OpRef || e.Op == ir.OpConst {
-			return
-		}
-		h := e.Hash()
-		if info, ok := table[h]; ok && ir.StructEq(info.expr, e) {
-			info.count++
-			return
-		}
-		if _, ok := table[h]; !ok {
-			table[h] = &vnInfo{expr: e, count: 1, cost: e.Cost()}
-		}
-	}
 	for _, n := range g.Nodes {
 		if n == nil {
 			continue
 		}
-		n.EachExpr(func(slot **ir.Expr) { scan(*slot) })
+		n.EachExpr(func(slot **ir.Expr) {
+			st.build(*slot)
+			for i, e := range st.exprs {
+				if e.Op == ir.OpRef || e.Op == ir.OpConst {
+					continue
+				}
+				h := st.hash[i]
+				info, ok := table[h]
+				if !ok {
+					table[h] = &vnInfo{expr: e, hash: h, count: 1, cost: st.cost[i]}
+				} else if ir.StructEq(info.expr, e) {
+					info.count++
+				}
+			}
+		})
 	}
 
 	// Candidates worth extracting: cost·k > cost + cost_node.
@@ -149,45 +209,43 @@ func extractCommon(g *ir.Graph, costNode int) int {
 	// must be bit-identical across builds and processes (design hashing,
 	// snapshot compatibility, the compiled-design cache all depend on it).
 	// Expr.Hash cannot serve here — maphash seeds differ per process.
-	keys := make(map[*vnInfo]string, len(chosen))
 	for _, info := range chosen {
-		keys[info] = fmt.Sprintf("%d:%s", info.expr.Width, info.expr)
+		info.key = strconv.Itoa(info.expr.Width) + ":" + info.expr.String()
 	}
 	sort.Slice(chosen, func(i, j int) bool {
 		if chosen[i].cost != chosen[j].cost {
 			return chosen[i].cost > chosen[j].cost
 		}
-		return keys[chosen[i]] < keys[chosen[j]]
+		return chosen[i].key < chosen[j].key
 	})
 
-	newNode := map[uint64]*ir.Node{}
-	replace := func(slot **ir.Expr, self *ir.Node) {
-		ir.WalkPtr(slot, func(pe **ir.Expr) bool {
-			e := *pe
-			if e.Op == ir.OpRef || e.Op == ir.OpConst {
-				return false
-			}
-			if nn, ok := newNode[e.Hash()]; ok && nn != self && ir.StructEq(nn.Expr, e) {
-				*pe = ir.Ref(nn)
-				return false
-			}
-			return true
-		})
-	}
-	count := 0
-	for _, info := range chosen {
-		h := info.expr.Hash()
-		if _, dup := newNode[h]; dup {
-			continue
-		}
-		n := g.AddNode(&ir.Node{
-			Name:  "_cse" + itoa(count),
+	// Table keys are distinct, so every chosen expression gets its own node.
+	newNode := make(map[uint64]*ir.Node, len(chosen))
+	for i, info := range chosen {
+		newNode[info.hash] = g.AddNode(&ir.Node{
+			Name:  "_cse" + strconv.Itoa(i),
 			Kind:  ir.KindComb,
 			Width: info.expr.Width,
 			Expr:  info.expr.Clone(),
 		})
-		newNode[h] = n
-		count++
+	}
+	// replace rewrites the subtree at index p (stored at pe) pre-order:
+	// the outermost occurrence of a chosen expression becomes a reference.
+	// A subtree is hashed before anything below it is rewritten.
+	var replace func(pe **ir.Expr, p int, self *ir.Node)
+	replace = func(pe **ir.Expr, p int, self *ir.Node) {
+		e := *pe
+		if e.Op == ir.OpRef || e.Op == ir.OpConst {
+			return
+		}
+		if nn, ok := newNode[st.hash[p]]; ok && nn != self && ir.StructEq(nn.Expr, e) {
+			*pe = ir.Ref(nn)
+			return
+		}
+		idx := st.args(p)
+		for i := range e.Args {
+			replace(&e.Args[i], idx[i], self)
+		}
 	}
 	// Rewrite every node, including the new CSE nodes (nesting), skipping
 	// each node's own defining expression root.
@@ -197,29 +255,18 @@ func extractCommon(g *ir.Graph, costNode int) int {
 		}
 		self := n
 		n.EachExpr(func(slot **ir.Expr) {
+			st.build(*slot)
+			root := len(st.exprs) - 1
 			// Do not replace the root of a CSE node with a ref to itself.
-			if nn, ok := newNode[(*slot).Hash()]; ok && nn == self {
+			if nn, ok := newNode[st.hash[root]]; ok && nn == self {
+				idx := st.args(root)
 				for i := range (*slot).Args {
-					replace(&(*slot).Args[i], self)
+					replace(&(*slot).Args[i], idx[i], self)
 				}
 				return
 			}
-			replace(slot, self)
+			replace(slot, root, self)
 		})
 	}
-	return count
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return len(chosen)
 }

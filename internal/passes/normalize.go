@@ -1,7 +1,7 @@
 package passes
 
 import (
-	"fmt"
+	"strconv"
 
 	"gsim/internal/ir"
 )
@@ -29,7 +29,7 @@ func Normalize(g *ir.Graph) int {
 			sub := flatten(owner, a)
 			fresh++
 			n := g.AddNode(&ir.Node{
-				Name:  fmt.Sprintf("%s#%d", owner, fresh),
+				Name:  owner + "#" + strconv.Itoa(fresh),
 				Kind:  ir.KindComb,
 				Width: sub.Width,
 				Expr:  sub,
@@ -39,7 +39,12 @@ func Normalize(g *ir.Graph) int {
 		}
 		return e
 	}
-	for _, n := range g.Live() {
+	// Only the nodes present on entry are flattened; the ones created here
+	// are already in one-op form.
+	for _, n := range g.Nodes[:len(g.Nodes):len(g.Nodes)] {
+		if n == nil {
+			continue
+		}
 		n.EachExpr(func(slot **ir.Expr) {
 			*slot = flatten(n.Name, *slot)
 		})

@@ -14,6 +14,20 @@
 //
 // All passes preserve cycle-accurate semantics; the test suite verifies
 // optimized and unoptimized graphs produce identical trajectories.
+//
+// Complexity contract: each pass runs in time linear in the graph per
+// round (BitSplit repeats up to six rounds to a fixed point).
+//
+//   - Side tables are slices indexed by node ID, never maps keyed by node.
+//   - An expression tree belongs to one slot. Inlining moves a tree into its
+//     last reader and copies it only for the others; the cost model allows
+//     more than one reader only for trees of cost 2 or less, so a chain of
+//     inlined nodes is never copied once per level.
+//   - Facts about every subtree of a tree (structural hash, cost) are
+//     computed in one bottom-up walk, never by re-walking at each level.
+//
+// The pass order and every decision are fixed: internal/core pins the
+// optimized graph, design hash and partition of a set of designs.
 package passes
 
 import (
@@ -153,19 +167,20 @@ func fit(e *ir.Expr, width int) *ir.Expr {
 	}
 }
 
-// keepAlive returns the set of nodes that must never be removed or inlined:
-// outputs, inputs, memory ports, registers, and reset signals.
-func keepAlive(g *ir.Graph) map[*ir.Node]bool {
-	keep := map[*ir.Node]bool{}
+// keepAlive returns, indexed by node ID, the nodes that must never be
+// removed or inlined: outputs, inputs, memory ports, registers, and reset
+// signals.
+func keepAlive(g *ir.Graph) []bool {
+	keep := make([]bool, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if n == nil {
 			continue
 		}
 		if n.Kind != ir.KindComb || n.IsOutput {
-			keep[n] = true
+			keep[n.ID] = true
 		}
 		if n.Kind == ir.KindReg && n.ResetSig != nil {
-			keep[n.ResetSig] = true
+			keep[n.ResetSig.ID] = true
 		}
 	}
 	return keep
