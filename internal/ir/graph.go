@@ -168,8 +168,9 @@ func (g *Graph) BuildAdjacency() *Adjacency {
 // design. An error is returned if a combinational cycle remains.
 func (g *Graph) TopoOrder() ([]int32, error) {
 	n := len(g.Nodes)
+	type edge struct{ u, v int32 }
+	var edges []edge // in ascending v, so each u's successors stay in ID order
 	indeg := make([]int32, n)
-	succs := make([][]int32, n)
 	// seen[u] == v+1 once the edge u->v is recorded: deduplicates a node's
 	// references without a set per node.
 	seen := make([]int32, n)
@@ -189,31 +190,44 @@ func (g *Graph) TopoOrder() ([]int32, error) {
 				}
 				if seen[u.ID] != stamp {
 					seen[u.ID] = stamp
-					succs[u.ID] = append(succs[u.ID], int32(vid))
+					edges = append(edges, edge{int32(u.ID), int32(vid)})
 					indeg[vid]++
 				}
 			})
 		})
 	}
+	// Successor lists in one array: succs[first[u]:first[u+1]].
+	first := make([]int32, n+1)
+	for _, e := range edges {
+		first[e.u+1]++
+	}
+	for i := 0; i < n; i++ {
+		first[i+1] += first[i]
+	}
+	succs := make([]int32, len(edges))
+	fill := seen // reused as each list's fill position
+	copy(fill, first[:n])
+	for _, e := range edges {
+		succs[fill[e.u]] = e.v
+		fill[e.u]++
+	}
 	// Deterministic Kahn: a min-heap over ready IDs would be O(n log n); a
 	// simple monotone queue seeded in ID order is deterministic enough and
 	// O(V+E) — ready nodes are appended in discovery order after an initial
-	// ID-ordered seed.
+	// ID-ordered seed. The order itself is the queue: order[head:] are the
+	// ready nodes not yet expanded.
 	order := make([]int32, 0, n)
-	queue := make([]int32, 0, n)
 	for id, v := range g.Nodes {
 		if v != nil && indeg[id] == 0 {
-			queue = append(queue, int32(id))
+			order = append(order, int32(id))
 		}
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range succs[u] {
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		for _, v := range succs[first[u]:first[u+1]] {
 			indeg[v]--
 			if indeg[v] == 0 {
-				queue = append(queue, v)
+				order = append(order, v)
 			}
 		}
 	}

@@ -20,9 +20,10 @@ import (
 // which can make the upstream node splittable on the next round — the
 // paper's path P0 P1 ... Pn. Rounds repeat to a fixed point (capped).
 func bitSplit(g *ir.Graph, maxParts int) int {
+	var s splitter
 	total := 0
 	for round := 0; round < 6; round++ {
-		n := splitRound(g, maxParts)
+		n := s.round(g, maxParts)
 		if n == 0 {
 			break
 		}
@@ -37,15 +38,28 @@ type useInfo struct {
 	ranges [][2]int
 }
 
-func splitRound(g *ir.Graph, maxParts int) int {
-	// uses[id] is how node id is read.
-	uses := make([]useInfo, len(g.Nodes))
+// splitter holds one round's tables; rounds reuse them.
+type splitter struct {
+	uses    []useInfo  // uses[id] is how node id is read
+	readers []*ir.Node // nodes that slice a node reference somewhere
+}
+
+// round runs one round of splitting and returns the number of nodes split.
+func (s *splitter) round(g *ir.Graph, maxParts int) int {
+	s.uses = slices.Grow(s.uses[:0], len(g.Nodes))[:len(g.Nodes)]
+	for i := range s.uses {
+		s.uses[i].full, s.uses[i].ranges = false, s.uses[i].ranges[:0]
+	}
+	s.readers = s.readers[:0]
+	uses := s.uses
+	sliced := false
 	var scan func(e *ir.Expr)
 	scan = func(e *ir.Expr) {
 		switch {
 		case e.Op == ir.OpBits && e.Args[0].Op == ir.OpRef:
 			u := &uses[e.Args[0].Node.ID]
 			u.ranges = append(u.ranges, [2]int{e.Lo, e.Hi})
+			sliced = true
 			return // the inner ref is a slice use, not a full use
 		case e.Op == ir.OpRef:
 			uses[e.Node.ID].full = true
@@ -58,7 +72,11 @@ func splitRound(g *ir.Graph, maxParts int) int {
 		if n == nil {
 			continue
 		}
+		sliced = false
 		n.EachExpr(func(slot **ir.Expr) { scan(*slot) })
+		if sliced {
+			s.readers = append(s.readers, n)
+		}
 		if n.Kind == ir.KindReg && n.ResetSig != nil {
 			uses[n.ResetSig.ID].full = true
 		}
@@ -93,13 +111,14 @@ func splitRound(g *ir.Graph, maxParts int) int {
 		return 0
 	}
 	// Materialize sub-nodes for every plan.
+	first := len(g.Nodes)
 	for _, p := range plans {
 		materialize(g, p)
 	}
-	// One rewrite pass over everything, including the new sub-nodes (a
-	// split register's parts slice the original register through its old
-	// name and must be redirected too). The sub-nodes are never split in
-	// this round, so they have no byNode entry.
+	// One rewrite pass over every node that slices a reference, including
+	// the new sub-nodes (a split register's parts slice the original
+	// register through its old name and must be redirected too). The
+	// sub-nodes are never split in this round, so they have no byNode entry.
 	var rewrite func(pe **ir.Expr)
 	rewrite = func(pe **ir.Expr) {
 		e := *pe
@@ -114,10 +133,11 @@ func splitRound(g *ir.Graph, maxParts int) int {
 			rewrite(&e.Args[i])
 		}
 	}
-	for _, n := range g.Nodes {
-		if n != nil {
-			n.EachExpr(rewrite)
-		}
+	for _, n := range s.readers {
+		n.EachExpr(rewrite)
+	}
+	for _, n := range g.Nodes[first:] {
+		n.EachExpr(rewrite)
 	}
 	for _, p := range plans {
 		g.Nodes[p.node.ID] = nil

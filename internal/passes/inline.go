@@ -96,17 +96,8 @@ func inlineNodes(g *ir.Graph, costNode, maxCost int) int {
 			count++
 		}
 	}
-	if count == 0 {
-		return 0
-	}
-	// A final resolve over all remaining nodes catches references from nodes
-	// positioned before their inlined successors in the walk above (register
-	// readers, which topological order does not constrain).
-	for _, n := range g.Nodes {
-		if n != nil {
-			n.EachExpr(func(slot **ir.Expr) { resolve(slot) })
-		}
-	}
+	// Every reference to a combinational node is an ordering edge, so each
+	// reader of an inlined node came after it in the walk and is resolved.
 	return count
 }
 
@@ -167,7 +158,8 @@ func extractCommon(g *ir.Graph, costNode int) int {
 		cost  int
 		key   string // canonical rendering, set once chosen
 	}
-	table := map[uint64]*vnInfo{}
+	var infos []vnInfo
+	table := map[uint64]int{} // hash -> index in infos
 	var st subtrees
 
 	// Count structurally identical non-trivial subexpressions.
@@ -182,11 +174,12 @@ func extractCommon(g *ir.Graph, costNode int) int {
 					continue
 				}
 				h := st.hash[i]
-				info, ok := table[h]
+				j, ok := table[h]
 				if !ok {
-					table[h] = &vnInfo{expr: e, hash: h, count: 1, cost: st.cost[i]}
-				} else if ir.StructEq(info.expr, e) {
-					info.count++
+					table[h] = len(infos)
+					infos = append(infos, vnInfo{expr: e, hash: h, count: 1, cost: st.cost[i]})
+				} else if ir.StructEq(infos[j].expr, e) {
+					infos[j].count++
 				}
 			}
 		})
@@ -194,8 +187,8 @@ func extractCommon(g *ir.Graph, costNode int) int {
 
 	// Candidates worth extracting: cost·k > cost + cost_node.
 	var chosen []*vnInfo
-	for _, info := range table {
-		if info.count >= 2 && info.cost*info.count > info.cost+costNode {
+	for i := range infos {
+		if info := &infos[i]; info.count >= 2 && info.cost*info.count > info.cost+costNode {
 			chosen = append(chosen, info)
 		}
 	}
