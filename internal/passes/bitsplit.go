@@ -2,7 +2,6 @@ package passes
 
 import (
 	"slices"
-	"strconv"
 
 	"gsim/internal/bitvec"
 	"gsim/internal/ir"
@@ -176,7 +175,7 @@ func materialize(g *ir.Graph, p *splitPlan) {
 	for i := range p.partExprs {
 		hi, lo := p.cuts[i+1]-1, p.cuts[i]
 		nn := &ir.Node{
-			Name:  d.Name + "_" + strconv.Itoa(hi) + "_" + strconv.Itoa(lo),
+			Name:  nodeName(d.Name, "_", hi, lo),
 			Kind:  d.Kind,
 			Width: hi - lo + 1,
 			Expr:  p.partExprs[i],

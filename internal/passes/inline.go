@@ -216,7 +216,7 @@ func extractCommon(g *ir.Graph, costNode int) int {
 	newNode := make(map[uint64]*ir.Node, len(chosen))
 	for i, info := range chosen {
 		newNode[info.hash] = g.AddNode(&ir.Node{
-			Name:  "_cse" + strconv.Itoa(i),
+			Name:  nodeName("_cse", "", i),
 			Kind:  ir.KindComb,
 			Width: info.expr.Width,
 			Expr:  info.expr.Clone(),

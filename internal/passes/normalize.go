@@ -1,10 +1,6 @@
 package passes
 
-import (
-	"strconv"
-
-	"gsim/internal/ir"
-)
+import "gsim/internal/ir"
 
 // Normalize flattens every expression tree into single-operation nodes: the
 // canonical "one IR node per register or logic unit" form the paper's graphs
@@ -29,7 +25,7 @@ func Normalize(g *ir.Graph) int {
 			sub := flatten(owner, a)
 			fresh++
 			n := g.AddNode(&ir.Node{
-				Name:  owner + "#" + strconv.Itoa(fresh),
+				Name:  nodeName(owner, "#", fresh),
 				Kind:  ir.KindComb,
 				Width: sub.Width,
 				Expr:  sub,

@@ -32,6 +32,7 @@ package passes
 
 import (
 	"fmt"
+	"strconv"
 
 	"gsim/internal/ir"
 )
@@ -165,6 +166,19 @@ func fit(e *ir.Expr, width int) *ir.Expr {
 	default:
 		return ir.BitsOf(e, width-1, 0)
 	}
+}
+
+// nodeName returns base followed by each number, each after sep:
+// nodeName("r", "_", 7, 0) is "r_7_0". A pass names every node it creates
+// through here, so a name costs one allocation and no temporaries.
+func nodeName(base, sep string, nums ...int) string {
+	var buf [64]byte
+	b := append(buf[:0], base...)
+	for _, v := range nums {
+		b = append(b, sep...)
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return string(b)
 }
 
 // keepAlive returns, indexed by node ID, the nodes that must never be
