@@ -156,7 +156,6 @@ func extractCommon(g *ir.Graph, costNode int) int {
 		hash  uint64
 		count int
 		cost  int
-		key   string // canonical rendering, set once chosen
 	}
 	var infos []vnInfo
 	table := map[uint64]int{} // hash -> index in infos
@@ -186,10 +185,14 @@ func extractCommon(g *ir.Graph, costNode int) int {
 	}
 
 	// Candidates worth extracting: cost·k > cost + cost_node.
-	var chosen []*vnInfo
+	type candidate struct {
+		*vnInfo
+		key string // canonical rendering
+	}
+	var chosen []candidate
 	for i := range infos {
 		if info := &infos[i]; info.count >= 2 && info.cost*info.count > info.cost+costNode {
-			chosen = append(chosen, info)
+			chosen = append(chosen, candidate{vnInfo: info})
 		}
 	}
 	if len(chosen) == 0 {
@@ -202,8 +205,9 @@ func extractCommon(g *ir.Graph, costNode int) int {
 	// must be bit-identical across builds and processes (design hashing,
 	// snapshot compatibility, the compiled-design cache all depend on it).
 	// Expr.Hash cannot serve here — maphash seeds differ per process.
-	for _, info := range chosen {
-		info.key = strconv.Itoa(info.expr.Width) + ":" + info.expr.String()
+	for i := range chosen {
+		c := &chosen[i]
+		c.key = strconv.Itoa(c.expr.Width) + ":" + c.expr.String()
 	}
 	sort.Slice(chosen, func(i, j int) bool {
 		if chosen[i].cost != chosen[j].cost {
