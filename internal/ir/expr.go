@@ -199,7 +199,7 @@ var exprSeed = maphash.MakeSeed()
 // arguments' hashes, so a pass that needs the hash of every subtree gets
 // them all from one post-order walk instead of rehashing at each level.
 func (e *Expr) Hash() uint64 {
-	var args [3]uint64
+	var args [3]uint64 // no operator takes more than three arguments
 	for i, a := range e.Args {
 		args[i] = a.Hash()
 	}

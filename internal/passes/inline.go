@@ -120,7 +120,7 @@ func (s *subtrees) build(root *ir.Expr) {
 // visit appends e's subtree and returns e's index.
 func (s *subtrees) visit(e *ir.Expr) int {
 	start := len(s.exprs)
-	var args [3]uint64
+	var args [3]uint64 // no operator takes more than three arguments
 	c := e.Op.Cost()
 	for i, a := range e.Args {
 		j := s.visit(a)

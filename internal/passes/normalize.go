@@ -35,9 +35,9 @@ func Normalize(g *ir.Graph) int {
 		}
 		return e
 	}
-	// Only the nodes present on entry are flattened; the ones created here
+	// The range covers the nodes present on entry; the ones created here
 	// are already in one-op form.
-	for _, n := range g.Nodes[:len(g.Nodes):len(g.Nodes)] {
+	for _, n := range g.Nodes {
 		if n == nil {
 			continue
 		}
