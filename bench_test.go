@@ -116,12 +116,11 @@ func BenchmarkGSIMMT(b *testing.B) {
 // BenchmarkKernelVsInterp is the kernel pipeline's headline head-to-head:
 // every testdata FIRRTL design plus the stucore (real RV32 core) and
 // rocket-scale profiles, under the full-cycle (verilator) and
-// essential-signal (gsim) presets, across all three evaluation modes —
-// the fused kernel pipeline (superinstructions + width classes), the PR-2
-// per-instruction kernel baseline (kernel-nofuse), and the switch-dispatch
-// interpreter — over the same compiled program, with random stimulus.
-// ns/cycle is reported per sub-benchmark so the fusion win is measured, not
-// asserted: compare the kernel and kernel-nofuse rows of one design/preset.
+// essential-signal (gsim) presets, in both evaluation modes — the fused
+// kernel pipeline (superinstructions + width classes) and the
+// switch-dispatch interpreter — over the same compiled program, with random
+// stimulus. ns/cycle is reported per sub-benchmark; what fusion alone buys
+// is measured by internal/emit's BenchmarkChainFusion.
 func BenchmarkKernelVsInterp(b *testing.B) {
 	files, err := filepath.Glob("testdata/*.fir")
 	if err != nil || len(files) == 0 {
@@ -146,11 +145,10 @@ func BenchmarkKernelVsInterp(b *testing.B) {
 		}
 		designs = append(designs, design{d.Name, g})
 	}
-	kernelModes := []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp}
 	for _, d := range designs {
 		g := d.graph
 		for _, preset := range []func() core.Config{core.Verilator, core.GSIM} {
-			for _, mode := range kernelModes {
+			for _, mode := range evalModes {
 				cfg := preset()
 				cfg.Eval = mode
 				b.Run(fmt.Sprintf("%s/%s/%s", d.name, cfg.Name, mode), func(b *testing.B) {
@@ -243,16 +241,16 @@ func muxChainFIR(lanes, depth int) string {
 }
 
 // BenchmarkTripleFusion is the three-instruction superinstructions' own
-// datapoint: the mux-cascade design above, fused kernel vs the
-// per-instruction kernel baseline. On this shape most of the fused closures
-// come from the triple rules, so the kernel/kernel-nofuse gap is dominated
-// by the three-wide windows rather than the pair idioms.
+// datapoint: the mux-cascade design above, fused kernel vs the reference
+// interpreter. On this shape most of the fused closures come from the
+// triple rules, so the kernel row tracks the three-wide windows rather than
+// the pair idioms.
 func BenchmarkTripleFusion(b *testing.B) {
 	g, err := firrtl.Load(muxChainFIR(16, 12))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse} {
+	for _, mode := range evalModes {
 		cfg := core.GSIM()
 		cfg.Eval = mode
 		b.Run(mode.String(), func(b *testing.B) {

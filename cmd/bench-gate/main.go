@@ -36,7 +36,7 @@ type Row struct {
 	Name    string  `json:"name"`              // full sub-benchmark name, -cpu suffix stripped
 	Design  string  `json:"design,omitempty"`  // stucore, rocket-like, ... when derivable
 	Engine  string  `json:"engine,omitempty"`  // gsim, verilator, gsim-mt, ...
-	Eval    string  `json:"eval,omitempty"`    // kernel, kernel-nofuse, interp
+	Eval    string  `json:"eval,omitempty"`    // kernel, interp
 	Threads int     `json:"threads,omitempty"` // worker count (1 when single-threaded)
 	NsOp    float64 `json:"ns_op,omitempty"`   // wall ns per benchmark op
 	KHz     float64 `json:"khz,omitempty"`     // simulated kHz (throughput)

@@ -5,7 +5,7 @@
 //	gsim-bench -exp table1|fig6|gsimmt|coarsen|sessions|fig7|fig8|fig9|table3|table4|all [-quick] [-cycles N]
 //	           [-threads 1,2,4,8]   thread counts for the gsimmt and coarsen sweeps
 //	                                (doubles as the session counts for -exp sessions)
-//	           [-eval kernel|kernel-nofuse|interp] evaluation mode for every measured config
+//	           [-eval kernel|interp] evaluation mode for every measured config
 //	           [-coarsen]           adaptive level coarsening for every measured config
 //
 // Results print as text tables in the paper's layout; EXPERIMENTS.md records
@@ -30,7 +30,7 @@ func main() {
 	medium := flag.Bool("medium", false, "stucore + rocket-scale designs, full budget (the EXPERIMENTS.md tier)")
 	cycles := flag.Int("cycles", 0, "override timed cycles per measurement")
 	threadList := flag.String("threads", "1,2,4,8", "comma-separated thread counts for the gsimmt and coarsen sweeps")
-	evalName := flag.String("eval", "kernel", "instruction evaluation for every measured config: kernel, kernel-nofuse, or interp")
+	evalName := flag.String("eval", "kernel", "instruction evaluation for every measured config: kernel or interp")
 	coarsen := flag.Bool("coarsen", false, "adaptive level coarsening for every measured config")
 	flag.Parse()
 

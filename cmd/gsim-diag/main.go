@@ -62,16 +62,12 @@ func main() {
 	}
 	d := harness.Synthetic(prof)
 	cfgs := []core.Config{core.Verilator(), core.VerilatorMT(2), core.Arcilator(), core.Essent(), core.GSIM()}
-	// The same pipeline under the reference interpreter and the pre-fusion
-	// kernel baseline, to see what the closure-threaded kernels — and the
-	// superinstruction/width-class pipeline on top of them — buy here.
+	// The same pipeline under the reference interpreter, to see what the
+	// closure-threaded kernels buy here.
 	gi := core.GSIM()
 	gi.Name = "gsim-interp"
 	gi.Eval = engine.EvalInterp
-	gnf := core.GSIM()
-	gnf.Name = "gsim-nofuse"
-	gnf.Eval = engine.EvalKernelNoFuse
-	cfgs = append(cfgs, gi, gnf)
+	cfgs = append(cfgs, gi)
 	// The multi-threaded engine, to report shard balance and batching reach,
 	// and its coarsened twin, to report the schedule delta (levels before ->
 	// after merging; one barrier per scheduled level per cycle).

@@ -5,10 +5,9 @@
 //	gsim [flags] design.fir
 //
 //	-engine gsim|verilator|essent|arcilator   simulator preset (default gsim)
-//	-eval kernel|kernel-nofuse|interp         instruction evaluation: the fused kernel
+//	-eval kernel|interp                       instruction evaluation: the fused kernel
 //	                                          pipeline (default: superinstructions,
-//	                                          width classes, bound chains), the
-//	                                          pre-fusion kernel baseline, or the
+//	                                          width classes, bound chains) or the
 //	                                          reference interpreter
 //	-threads N                                multi-threaded engine: gsim -> GSIMMT
 //	                                          (parallel essential-signal), verilator
@@ -55,7 +54,7 @@ func (r *repeated) Set(v string) error { *r = append(*r, v); return nil }
 
 func main() {
 	engineName := flag.String("engine", "gsim", "simulator preset: gsim, verilator, essent, arcilator")
-	evalName := flag.String("eval", "kernel", "instruction evaluation: kernel (fused pipeline, default), kernel-nofuse (pre-fusion baseline), or interp (reference interpreter)")
+	evalName := flag.String("eval", "kernel", "instruction evaluation: kernel (fused pipeline, default) or interp (reference interpreter)")
 	threads := flag.Int("threads", 0, "worker count: gsim -> parallel essential-signal (GSIMMT), verilator -> parallel full-cycle")
 	cycles := flag.Int("cycles", 10, "cycles to simulate")
 	coarsen := flag.Bool("coarsen", false, "adaptive level coarsening: merge sparse schedule levels (parallel essential-signal engine)")

@@ -90,10 +90,10 @@ func parseFIRRTL(data []byte) (g *ir.Graph) {
 
 // FuzzKernelLockstep is the generative conformance harness behind the kernel
 // compiler: for every fuzz input, decode a design, then run the fused kernel
-// pipeline, the pre-fusion kernel baseline, the reference interpreter, and
-// the independent ir-reference oracle in lockstep, failing on any state or
-// stat divergence. The seed corpus is the committed testdata designs plus a
-// handful of byte seeds for the generator path; `go test -fuzz=FuzzKernelLockstep`
+// pipeline, the reference interpreter, and the independent ir-reference
+// oracle in lockstep, failing on any state or stat divergence. The seed
+// corpus is the committed testdata designs plus a handful of byte seeds for
+// the generator path; `go test -fuzz=FuzzKernelLockstep`
 // explores from there (CI runs a 30s smoke).
 func FuzzKernelLockstep(f *testing.F) {
 	files, err := filepath.Glob("../../testdata/*.fir")
@@ -121,7 +121,6 @@ func FuzzKernelLockstep(f *testing.F) {
 			t.Skip("design does not compile:", err)
 		}
 		defer sysK.Close()
-		simNF := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, engine.EvalKernelNoFuse)
 		simI := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, engine.EvalInterp)
 		// The coarsening axis: the merged-level schedule at its most
 		// aggressive grain, two workers, must track the same trajectory.
@@ -222,7 +221,6 @@ func FuzzKernelLockstep(f *testing.F) {
 				}
 				ref.Poke(in.ID, v)
 				sysK.Sim.Poke(in.ID, v)
-				simNF.Poke(in.ID, v)
 				simI.Poke(in.ID, v)
 				simC.Poke(in.ID, v)
 				simS.Poke(in.ID, v)
@@ -243,7 +241,6 @@ func FuzzKernelLockstep(f *testing.F) {
 			gang.SetLive(1, lane1Live)
 			ref.Step()
 			sysK.Sim.Step()
-			simNF.Step()
 			simI.Step()
 			simC.Step()
 			simS.Step()
@@ -269,7 +266,6 @@ func FuzzKernelLockstep(f *testing.F) {
 				t.Fatal(err)
 			}
 			for name, st := range map[string][]uint64{
-				"kernel-nofuse":      simNF.Machine().State,
 				"interp":             simI.Machine().State,
 				"coarsen-2T":         simC.Machine().State,
 				"snapshot-roundtrip": simS.Machine().State,
@@ -312,16 +308,14 @@ func FuzzKernelLockstep(f *testing.F) {
 
 		// Stats must not depend on the evaluation mode — nor on a snapshot
 		// round-trip through a fresh engine mid-run.
-		a, b, nf := sysK.Sim.Stats(), simI.Stats(), simNF.Stats()
+		a, b := sysK.Sim.Stats(), simI.Stats()
 		if s := simS.Stats(); *a != *s {
 			t.Fatalf("stats diverge kernel vs snapshot-roundtrip:\nkernel   %+v\nsnapshot %+v", *a, *s)
 		}
-		for name, other := range map[string]*engine.Stats{"interp": b, "kernel-nofuse": nf} {
-			if a.NodeEvals != other.NodeEvals || a.Activations != other.Activations ||
-				a.Examinations != other.Examinations || a.InstrsExecuted != other.InstrsExecuted ||
-				a.RegCommits != other.RegCommits {
-				t.Fatalf("stats diverge kernel vs %s:\nkernel %+v\n%s %+v", name, *a, name, *other)
-			}
+		if a.NodeEvals != b.NodeEvals || a.Activations != b.Activations ||
+			a.Examinations != b.Examinations || a.InstrsExecuted != b.InstrsExecuted ||
+			a.RegCommits != b.RegCommits {
+			t.Fatalf("stats diverge kernel vs interp:\nkernel %+v\ninterp %+v", *a, *b)
 		}
 
 		// Simplify-axis epilogue: the two VCD streams over the shared

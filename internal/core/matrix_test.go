@@ -23,9 +23,9 @@ type matrixSim struct {
 // shares node IDs and state layout and the state images can be compared word
 // for word:
 //
-//	fullcycle, activity                   × {kernel, kernel-nofuse, interp}
-//	parallel, parallel-activity           × {kernel, kernel-nofuse, interp} × {1, 2, 4} threads
-//	parallel-activity (coarsened)         × {kernel, kernel-nofuse, interp} × {1, 2, 4} threads
+//	fullcycle, activity                   × {kernel, interp}
+//	parallel, parallel-activity           × {kernel, interp} × {1, 2, 4} threads
+//	parallel-activity (coarsened)         × {kernel, interp} × {1, 2, 4} threads
 //
 // The coarsened cells run the merged-level schedule with an aggressive grain
 // (so merging actually happens on small designs) and must stay bit-identical
@@ -46,7 +46,7 @@ func matrixEngines(t *testing.T, sys *System) []matrixSim {
 	coarse.Coarsen = true
 	coarse.CoarsenGrain = 1 << 30 // merge everything mergeable: worst case for ordering bugs
 
-	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp}
+	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalInterp}
 	var sims []matrixSim
 	for _, mode := range modes {
 		sims = append(sims,
@@ -80,7 +80,7 @@ func matrixDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 }
 
 // TestEngineMatrixLockstep sweeps the conformance matrix: all four engines,
-// all three evaluation modes, threaded engines at 1/2/4 workers, lockstep
+// both evaluation modes, threaded engines at 1/2/4 workers, lockstep
 // over every design with randomized stimulus and reset pulses. Every cell's
 // full state image must stay bit-identical to the first cell every cycle,
 // and the first cell's outputs must match the independent ir-reference

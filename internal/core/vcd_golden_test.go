@@ -78,7 +78,7 @@ func b2u(v bool) uint64 {
 }
 
 // TestGoldenVCD pins the committed reference waveforms for every testdata
-// design, byte for byte, under all three evaluation modes — so
+// design, byte for byte, under both evaluation modes — so
 // superinstruction fusion, width classes, and chunk batching can never
 // silently change trace output, and neither can a VCD writer refactor.
 func TestGoldenVCD(t *testing.T) {
@@ -113,7 +113,6 @@ func TestGoldenVCD(t *testing.T) {
 			mode  engine.EvalMode
 		}{
 			{"kernel", engine.EvalKernel},
-			{"kernel-nofuse", engine.EvalKernelNoFuse},
 			{"interp", engine.EvalInterp},
 		} {
 			out := got
@@ -205,7 +204,7 @@ func TestGoldenVCDAsync(t *testing.T) {
 		{"parallel-activity-coarsen-2T", EngineParallelActivity, 2, true},
 	}
 	for _, e := range engines {
-		for _, m := range []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp} {
+		for _, m := range []engine.EvalMode{engine.EvalKernel, engine.EvalInterp} {
 			e, m := e, m
 			cells = append(cells, cell{
 				label: fmt.Sprintf("%s/%s", e.label, m),

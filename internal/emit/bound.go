@@ -7,12 +7,11 @@ import (
 	"gsim/internal/bitvec"
 )
 
-// Bound chains: the final stage of the kernel-compiling pipeline. Where the
-// Kernels table pre-resolves opcode dispatch and operand offsets but still
-// indexes the state slice on every access, a bound chain is compiled for ONE
-// machine: every operand becomes a *uint64 into that machine's state image,
-// every closure takes no arguments, and superinstruction fusion and the
-// 2-word width classes apply along the way. This is the closest a
+// Bound chains: the kernel-compiling pipeline. A bound chain is compiled for
+// ONE machine: opcode dispatch, widths, shift amounts and masks are resolved
+// at build time, every operand becomes a *uint64 into that machine's state
+// image, every closure takes no arguments, and superinstruction fusion and
+// the 2-word width classes apply along the way. This is the closest a
 // closure-threaded interpreter gets to GSIM's emitted straight-line C++ —
 // no dispatch, no operand decode, no bounds checks, no argument traffic.
 //
@@ -47,25 +46,19 @@ func (p *Program) CompileNodesBound(m *Machine, ids []int32) []BoundFn {
 // matchers from the rule table, widest window first — a triple beats the
 // pair it contains), width-class specialization, operand pointers resolved
 // into m's state image. The chain need not be contiguous in the program.
-// FusionStats simulates exactly this greedy walk; keep the two in step.
 func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
 	fns := make([]BoundFn, 0, len(ins))
-	for i := 0; i < len(ins); i++ {
-		if i+2 < len(ins) {
-			if r := matchFuse3(ins[i], ins[i+1], ins[i+2]); r != FuseRuleNone {
-				fns = append(fns, compileFuse3(p, m, ins[i], ins[i+1], ins[i+2], r))
-				i += 2
-				continue
-			}
+	for i := 0; i < len(ins); {
+		n, r := fuseWindow(ins[i:])
+		switch n {
+		case 3:
+			fns = append(fns, compileFuse3(p, m, ins[i], ins[i+1], ins[i+2], r))
+		case 2:
+			fns = append(fns, compileFuse2(p, m, ins[i], ins[i+1], r))
+		default:
+			fns = append(fns, compileKernelBound(m, ins[i]))
 		}
-		if i+1 < len(ins) {
-			if r := matchFuse2(ins[i], ins[i+1]); r != FuseRuleNone {
-				fns = append(fns, compileFuse2(p, m, ins[i], ins[i+1], r))
-				i++
-				continue
-			}
-		}
-		fns = append(fns, compileKernelBound(m, ins[i]))
+		i += n
 	}
 	return fns
 }
@@ -82,9 +75,10 @@ func compileKernelBound(m *Machine, in Instr) BoundFn {
 	return compileNarrowBound(m, in)
 }
 
-// compileNarrowBound is the pointer-resolved twin of compileNarrowKernel;
-// the two must stay semantically identical (the chain property tests and the
-// cross-engine lockstep suites pin them against the interpreter).
+// compileNarrowBound builds the specialized single-word closure: masks and
+// shift amounts baked in, mirroring execNarrow exactly (the chain property
+// tests and the cross-engine lockstep suites pin it against the
+// interpreter).
 func compileNarrowBound(m *Machine, in Instr) BoundFn {
 	st := m.State
 	pd, pa := &st[in.D], &st[in.A]
@@ -751,4 +745,12 @@ func compileCmpMuxBound(st []uint64, a, b Instr) BoundFn {
 		}
 		*pbd = r & bdm
 	}
+}
+
+// b2u converts a comparison result to the canonical 0/1 word.
+func b2u(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
 }

@@ -1,10 +1,5 @@
 package emit
 
-// genericFusion gates the generic Alu* fusion families (the specialized
-// patterns are always on). It exists as a compile-time experiment knob for
-// the benchmarks; both settings are conformance-tested.
-const genericFusion = true
-
 // Superinstruction fusion: a peephole pass over an instruction chain that
 // collapses common two- and three-instruction patterns into single pre-bound
 // closures. The per-instruction indirect call is the dominant cost of the
@@ -75,7 +70,7 @@ func matchFusionLegacy(a, b Instr) legacyPattern {
 	if !narrow(a) || !narrow(b) {
 		return legNone
 	}
-	pure := pureNarrow(a) && genericFusion
+	pure := pureNarrow(a)
 	switch b.Op {
 	case CMux:
 		feedsArm := b.B == a.D || b.C == a.D
@@ -177,27 +172,37 @@ func cmpParts(a Instr) (x, y int, xw, yw int32, negBit uint64, kind cmpKind) {
 	return x, y, xw, yw, b2u(neg), kind
 }
 
+// fuseWindow is one step of the greedy window walk CompileChainBound and
+// FusionStats share: the widest fusible window at the head of ins (a triple
+// beats the pair it contains), as its length and matched rule. A lone
+// instruction is (1, FuseRuleNone).
+func fuseWindow(ins []Instr) (int, FuseRule) {
+	if len(ins) >= 3 {
+		if r := matchFuse3(ins[0], ins[1], ins[2]); r != FuseRuleNone {
+			return 3, r
+		}
+	}
+	if len(ins) >= 2 {
+		if r := matchFuse2(ins[0], ins[1]); r != FuseRuleNone {
+			return 2, r
+		}
+	}
+	return 1, FuseRuleNone
+}
+
 // FusionStats counts, per generated rule, how many windows of the chain
-// would fuse — the diagnostic behind cmd/gsim-diag's fusion report. The
-// slice is indexed by FuseRule ([FuseRuleNone+1, NumFuseRules)) and the walk
-// mirrors CompileChainBound's greedy triple-then-pair scan exactly, so the
-// counts are the closures the chain actually compiles to.
+// fuse — the diagnostic behind cmd/gsim-diag's fusion report. The slice is
+// indexed by FuseRule ([FuseRuleNone+1, NumFuseRules)); the walk is
+// CompileChainBound's, so the counts are the closures the chain actually
+// compiles to.
 func FusionStats(ins []Instr) []int {
 	counts := make([]int, NumFuseRules)
-	for i := 0; i < len(ins); i++ {
-		if i+2 < len(ins) {
-			if r := matchFuse3(ins[i], ins[i+1], ins[i+2]); r != FuseRuleNone {
-				counts[r]++
-				i += 2
-				continue
-			}
+	for i := 0; i < len(ins); {
+		n, r := fuseWindow(ins[i:])
+		if r != FuseRuleNone {
+			counts[r]++
 		}
-		if i+1 < len(ins) {
-			if r := matchFuse2(ins[i], ins[i+1]); r != FuseRuleNone {
-				counts[r]++
-				i++
-			}
-		}
+		i += n
 	}
 	return counts
 }

@@ -9,11 +9,17 @@ import (
 	"gsim/internal/ir"
 )
 
-// TestKernelMatchesInterp is the kernel-level property test for the
-// baseline table (the -eval kernel-nofuse production path): for random
-// expression trees (narrow and wide), the closure-threaded kernel sweep must
-// leave the machine in the exact state the interpreter leaves it in — every
-// word, including temporaries.
+// numOpCodes bounds the opcode enumeration (via the cOpCount sentinel); the
+// kernel-coverage test sweeps [CCopy, numOpCodes) and fails if a new opcode
+// lands without a kernel or an explicit interpreter fallback.
+const numOpCodes = int(cOpCount)
+
+// TestKernelMatchesInterp is the kernel-level property test for the unfused
+// bound kernels: for random expression trees (narrow and wide), compiling
+// every instruction on its own with compileKernelBound and sweeping the
+// closures must leave the machine in the exact state the interpreter leaves
+// it in — every word, including temporaries. TestChainMatchesInterp covers
+// the same property with fusion on.
 func TestKernelMatchesInterp(t *testing.T) {
 	for seed := int64(100); seed < 140; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -32,19 +38,21 @@ func TestKernelMatchesInterp(t *testing.T) {
 		}
 		e := randExpr(rng, b, inputs, 5)
 		p, _ := compileExpr(t, inputs, b.G, e)
-		p.BuildKernelsBase()
-		if len(p.KernelsBase) != len(p.Instrs) {
-			t.Fatalf("seed %d: %d kernels for %d instructions", seed, len(p.KernelsBase), len(p.Instrs))
-		}
 
 		mi := NewMachine(p)
 		mk := NewMachine(p)
+		fns := make([]BoundFn, len(p.Instrs))
+		for i, in := range p.Instrs {
+			fns[i] = compileKernelBound(mk, in)
+		}
 		for _, in := range inputs {
 			mi.Poke(in.ID, vals[in])
 			mk.Poke(in.ID, vals[in])
 		}
 		mi.Exec(0, int32(len(p.Instrs)))
-		mk.ExecKernelBase(0, int32(len(p.Instrs)))
+		for _, f := range fns {
+			f()
+		}
 		for w := range mi.State {
 			if mi.State[w] != mk.State[w] {
 				t.Fatalf("seed %d: state word %d: interp %#x vs kernel %#x\nexpr: %s",
@@ -55,62 +63,47 @@ func TestKernelMatchesInterp(t *testing.T) {
 }
 
 // TestKernelOpcodeCoverage pins the contract the engines rely on: every
-// opcode in the enumeration compiles in both production compilers — the
-// baseline table (compileKernelBase: specialized narrow closure, execWide
-// fallback) and the bound-chain compiler (compileKernelBound) — so a new
-// opcode added without kernels fails the sweep instead of panicking at
-// engine construction.
+// opcode in the enumeration compiles in the bound-chain compiler
+// (compileKernelBound), narrow and wide, so a new opcode added without
+// kernels fails the sweep instead of panicking at engine construction.
 func TestKernelOpcodeCoverage(t *testing.T) {
 	p := &Program{NumWords: 8, Mems: []MemSpec{{Depth: 2, Width: 8, WordsPer: 1, Init: make([]uint64, 2)}}}
-	mach := NewMachine(p)
-	// The bound compiler adapted to the shared sweep signature.
-	bound := func(_ *Program, in Instr) KernelFn {
-		bf := compileKernelBound(mach, in)
-		if bf == nil {
-			return nil
-		}
-		return func(_ []uint64, _ *Machine) { bf() }
-	}
-	compilers := []struct {
-		name    string
-		compile func(*Program, Instr) KernelFn
-	}{{"base", compileKernelBase}, {"bound", bound}}
+	m := NewMachine(p)
 	for op := int(CCopy); op < numOpCodes; op++ {
 		narrow := Instr{Op: OpCode(op), DW: 8, AW: 8, BW: 8}
 		wide := Instr{Op: OpCode(op), DW: 128, AW: 128, BW: 128}
-		for _, c := range compilers {
-			if fn := mustCompile(t, p, narrow, c.compile); fn == nil {
-				t.Fatalf("opcode %d: no %s narrow kernel", op, c.name)
-			}
-			if fn := mustCompile(t, p, wide, c.compile); fn == nil {
-				t.Fatalf("opcode %d: no %s wide fallback", op, c.name)
-			}
+		if fn := mustCompile(t, m, narrow); fn == nil {
+			t.Fatalf("opcode %d: no narrow kernel", op)
+		}
+		if fn := mustCompile(t, m, wide); fn == nil {
+			t.Fatalf("opcode %d: no wide fallback", op)
 		}
 	}
 }
 
-func mustCompile(t *testing.T, p *Program, in Instr, compile func(*Program, Instr) KernelFn) (fn KernelFn) {
+func mustCompile(t *testing.T, m *Machine, in Instr) (fn BoundFn) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("opcode %d (widths %d/%d/%d): compile panicked: %v", in.Op, in.DW, in.AW, in.BW, r)
 		}
 	}()
-	return compile(p, in)
+	return compileKernelBound(m, in)
 }
 
-// TestBuildKernelsIdempotent: building twice must not reallocate the table
-// (engines sharing a program may all request kernels). Same contract for the
-// baseline table.
+// TestBuildKernelsIdempotent: the gang kernel table is built once per lane
+// count and shared (gang sessions over one cached compile all request it),
+// so asking twice must not rebuild it, and another lane count gets its own.
 func TestBuildKernelsIdempotent(t *testing.T) {
 	b := ir.NewBuilder("idem")
 	in := b.Input("i", 8)
 	p, _ := compileExpr(t, []*ir.Node{in}, b.G, b.Add(ir.Ref(in), ir.Ref(in)))
-	p.BuildKernelsBase()
-	first := &p.KernelsBase[0]
-	p.BuildKernelsBase()
-	if first != &p.KernelsBase[0] {
-		t.Fatal("BuildKernelsBase rebuilt the table")
+	first := p.GangKernels(4)
+	if again := p.GangKernels(4); &again[0] != &first[0] {
+		t.Fatal("GangKernels rebuilt the table for the same lane count")
+	}
+	if other := p.GangKernels(8); &other[0] == &first[0] {
+		t.Fatal("GangKernels shared one table across lane counts")
 	}
 }
 

@@ -203,13 +203,13 @@ func NewActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, mo
 	if cfg.BranchlessMax == 0 {
 		cfg.BranchlessMax = DefaultBranchlessMax
 	}
-	a := &Activity{base: newBase(p, mode), part: part, cfg: cfg}
+	a := &Activity{base: newBase(p), part: part, cfg: cfg}
 	a.activationPlan = buildActivationPlan(p, part, cfg, a.resets)
 	a.active = make([]uint64, (part.Count()+63)/64)
 	scratchWords := a.maxWords
 	if mode != EvalInterp {
 		var kw int32
-		a.supKerns, kw = buildSupKernels(p, a.m, a.activationPlan, mode)
+		a.supKerns, kw = buildSupKernels(p, a.m, a.activationPlan)
 		if kw > scratchWords {
 			scratchWords = kw
 		}
@@ -342,7 +342,7 @@ func (a *Activity) evalSupernodeKernel(s int32) {
 	for _, t := range sk.track {
 		copy(scr[t.scr:t.scr+t.w], st[t.off:t.off+t.w])
 	}
-	sk.sweep(st, m)
+	sk.sweep()
 	a.stats.NodeEvals += sk.nodes
 	a.countInstrs(sk.instrs)
 	for _, t := range sk.track {

@@ -8,7 +8,8 @@ import (
 )
 
 // EvalMode selects how an engine executes compiled instructions on its
-// hottest path.
+// hottest path. The values are part of core.CacheKey, so they never move:
+// EvalKernel is 0 and EvalInterp is 1.
 type EvalMode uint8
 
 const (
@@ -24,21 +25,12 @@ const (
 	// (emit.Machine.Exec). It is the semantic baseline the kernel path is
 	// pinned against, and the fallback to reach for when debugging.
 	EvalInterp
-	// EvalKernelNoFuse runs the PR-2 kernel path: one closure per
-	// instruction, no superinstruction fusion, no width classes, no chunk
-	// batching. It exists as the measurable baseline for the fused pipeline
-	// (BenchmarkKernelVsInterp's kernel vs kernel-nofuse rows) and stays in
-	// the conformance matrix so the baseline keeps working.
-	EvalKernelNoFuse
 )
 
 // String returns the flag spelling of the mode.
 func (m EvalMode) String() string {
-	switch m {
-	case EvalInterp:
+	if m == EvalInterp {
 		return "interp"
-	case EvalKernelNoFuse:
-		return "kernel-nofuse"
 	}
 	return "kernel"
 }
@@ -50,24 +42,19 @@ func ParseEvalMode(s string) (EvalMode, error) {
 		return EvalKernel, nil
 	case "interp":
 		return EvalInterp, nil
-	case "kernel-nofuse":
-		return EvalKernelNoFuse, nil
 	}
-	return 0, fmt.Errorf("unknown eval mode %q (want kernel, kernel-nofuse, or interp)", s)
+	return 0, fmt.Errorf("unknown eval mode %q (want kernel or interp)", s)
 }
 
 // supKernel is one supernode compiled to closure-threaded form: the members'
-// kernel closures fused into a single chain, plus the per-member bookkeeping
-// the essential-signal sweep needs (old-value parking for change detection,
-// register pending checks). Executing a supernode is then one scratch copy
-// pass, one closure sweep, and one diff/activate pass — no per-member range
-// lookups and no per-instruction dispatch. Under EvalKernel the chain is the
-// bound form (superinstructions, width classes, operand pointers resolved
-// into the engine's machine); under EvalKernelNoFuse it is the
-// per-instruction baseline table.
+// instructions as a single bound chain (superinstructions, width classes,
+// operand pointers resolved into the engine's machine), plus the per-member
+// bookkeeping the essential-signal sweep needs (old-value parking for change
+// detection, register pending checks). Executing a supernode is then one
+// scratch copy pass, one closure sweep, and one diff/activate pass — no
+// per-member range lookups and no per-instruction dispatch.
 type supKernel struct {
-	fns    []emit.BoundFn  // EvalKernel: fused bound chain
-	kfns   []emit.KernelFn // EvalKernelNoFuse: baseline closures
+	fns    []emit.BoundFn
 	instrs uint64
 	nodes  uint64
 	track  []trackSlot
@@ -84,13 +71,12 @@ type trackSlot struct {
 }
 
 // buildSupKernels fuses every supernode of the activation plan into its
-// kernel form. Under EvalKernel each supernode's concatenated member
-// instructions are compiled as one bound chain with superinstruction fusion
-// and width-class specialization (emit.Program.CompileChainBound); under
-// EvalKernelNoFuse the per-instruction baseline table is concatenated
-// unchanged (the PR-2 shape). The returned scratch size (in words) is the
-// widest per-supernode old-value parking area; callers size their scratch
-// buffers to max(plan.maxWords, scratchWords) so both evaluation paths fit.
+// kernel form: each supernode's concatenated member instructions are
+// compiled as one bound chain with superinstruction fusion and width-class
+// specialization (emit.Program.CompileChainBound). The returned scratch size
+// (in words) is the widest per-supernode old-value parking area; callers
+// size their scratch buffers to max(plan.maxWords, scratchWords) so both
+// evaluation paths fit.
 //
 // Correctness of the "park all old values up front" shape: a member's value
 // slot is written only by that member's own instructions, so earlier members
@@ -100,11 +86,7 @@ type trackSlot struct {
 // member boundaries inside the chain is safe for the same reason: a fused
 // closure performs exactly the stores of its source instructions (two or
 // three, per the matched rule) in order.
-func buildSupKernels(p *emit.Program, m *emit.Machine, pl *activationPlan, mode EvalMode) ([]supKernel, int32) {
-	fuse := mode != EvalKernelNoFuse
-	if !fuse {
-		p.BuildKernelsBase()
-	}
+func buildSupKernels(p *emit.Program, m *emit.Machine, pl *activationPlan) ([]supKernel, int32) {
 	nSups := len(pl.supStart) - 1
 	sups := make([]supKernel, nSups)
 	scratchWords := int32(1)
@@ -116,11 +98,7 @@ func buildSupKernels(p *emit.Program, m *emit.Machine, pl *activationPlan, mode 
 		for k := pl.supStart[s]; k < pl.supStart[s+1]; k++ {
 			id := pl.members[k]
 			code := p.Code[id]
-			if fuse {
-				chain = append(chain, p.Instrs[code.Start:code.End]...)
-			} else {
-				sk.kfns = append(sk.kfns, p.KernelsBase[code.Start:code.End]...)
-			}
+			chain = append(chain, p.Instrs[code.Start:code.End]...)
 			sk.instrs += uint64(code.Len())
 			sk.nodes++
 			switch pl.kind[id] {
@@ -135,9 +113,7 @@ func buildSupKernels(p *emit.Program, m *emit.Machine, pl *activationPlan, mode 
 				scr += w
 			}
 		}
-		if fuse {
-			sk.fns = p.CompileChainBound(m, chain)
-		}
+		sk.fns = p.CompileChainBound(m, chain)
 		if scr > scratchWords {
 			scratchWords = scr
 		}
@@ -145,15 +121,9 @@ func buildSupKernels(p *emit.Program, m *emit.Machine, pl *activationPlan, mode 
 	return sups, scratchWords
 }
 
-// sweep runs the supernode's compiled chain, whichever form it was built in.
-func (sk *supKernel) sweep(st []uint64, m *emit.Machine) {
-	if sk.fns != nil {
-		for _, f := range sk.fns {
-			f()
-		}
-		return
-	}
-	for _, f := range sk.kfns {
-		f(st, m)
+// sweep runs the supernode's compiled chain.
+func (sk *supKernel) sweep() {
+	for _, f := range sk.fns {
+		f()
 	}
 }

@@ -14,8 +14,8 @@ type FullCycle struct {
 	base
 	// chain is the whole instruction stream compiled as one fused bound
 	// chain (superinstructions, width classes, operand pointers resolved
-	// into this engine's machine). nil unless mode is EvalKernel; the other
-	// modes sweep through base.exec.
+	// into this engine's machine). nil under EvalInterp, which sweeps the
+	// reference interpreter instead.
 	chain      []emit.BoundFn
 	memScratch []int32
 }
@@ -24,9 +24,9 @@ type FullCycle struct {
 // program's graph must have been compacted in topological order (core.Build
 // guarantees this). In kernel mode (the default) the whole instruction
 // stream is one fused closure sweep; EvalInterp selects the reference
-// interpreter and EvalKernelNoFuse the per-instruction baseline table.
+// interpreter.
 func NewFullCycle(p *emit.Program, mode EvalMode) *FullCycle {
-	f := &FullCycle{base: newBase(p, mode)}
+	f := &FullCycle{base: newBase(p)}
 	if mode == EvalKernel {
 		f.chain = p.CompileChainBound(f.m, p.Instrs)
 	}
@@ -50,7 +50,7 @@ func (f *FullCycle) Step() {
 			fn()
 		}
 	} else {
-		f.exec(0, int32(len(f.m.Prog.Instrs)))
+		f.m.Exec(0, int32(len(f.m.Prog.Instrs)))
 	}
 	f.stats.NodeEvals += uint64(len(f.coded))
 	f.countInstrs(uint64(len(f.m.Prog.Instrs)))

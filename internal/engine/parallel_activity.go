@@ -134,7 +134,7 @@ func NewParallelActivity(p *emit.Program, part *partition.Result, cfg ActivityCo
 		cfg.BranchlessMax = DefaultBranchlessMax
 	}
 	e := &ParallelActivity{
-		base:    newBase(p, mode),
+		base:    newBase(p),
 		part:    part,
 		cfg:     cfg,
 		threads: threads,
@@ -222,11 +222,11 @@ func NewParallelActivity(p *emit.Program, part *partition.Result, cfg ActivityCo
 	scratchWords := e.maxWords
 	if mode != EvalInterp {
 		var kw int32
-		e.supKerns, kw = buildSupKernels(p, e.m, e.activationPlan, mode)
+		e.supKerns, kw = buildSupKernels(p, e.m, e.activationPlan)
 		if kw > scratchWords {
 			scratchWords = kw
 		}
-		if mode == EvalKernel && cfg.MultiBitCheck {
+		if cfg.MultiBitCheck {
 			e.batches = e.buildWordBatches()
 		}
 	}
@@ -506,7 +506,7 @@ func (ws *paWorker) evalSupernodeKernel(s int32) {
 	for _, t := range sk.track {
 		copy(scr[t.scr:t.scr+t.w], st[t.off:t.off+t.w])
 	}
-	sk.sweep(st, m)
+	sk.sweep()
 	ws.nodeEvals += sk.nodes
 	ws.instrs += sk.instrs
 	for _, t := range sk.track {
@@ -608,7 +608,7 @@ func (e *ParallelActivity) Close() { e.pool.Close() }
 func (e *ParallelActivity) Shard() *partition.ShardView { return e.shard }
 
 // BatchedWords reports how many active words qualified for per-shard kernel
-// batching (0 when batching is off: interp/nofuse mode or no MultiBitCheck).
+// batching (0 when batching is off: interp mode or no MultiBitCheck).
 func (e *ParallelActivity) BatchedWords() (batched, total int) {
 	for i := range e.batches {
 		if e.batches[i].full != 0 {

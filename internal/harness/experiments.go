@@ -19,9 +19,8 @@ type Budget struct {
 	TimedCycles  int
 
 	// Eval is applied to every configuration the experiments build: the
-	// fused kernel pipeline (zero value, default), the pre-fusion kernel
-	// baseline (cmd/gsim-bench -eval kernel-nofuse), or the reference
-	// interpreter (-eval interp).
+	// fused kernel pipeline (zero value, default) or the reference
+	// interpreter (cmd/gsim-bench -eval interp).
 	Eval engine.EvalMode
 
 	// Coarsen applies adaptive level coarsening to every measured

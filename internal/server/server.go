@@ -129,7 +129,7 @@ type Limits struct {
 // exposes as flags, with the same defaults (gsim preset, kernel eval).
 type SessionSpec struct {
 	Engine       string `json:"engine,omitempty"`        // gsim | verilator | essent | arcilator (default gsim)
-	Eval         string `json:"eval,omitempty"`          // kernel | kernel-nofuse | interp (default kernel)
+	Eval         string `json:"eval,omitempty"`          // kernel | interp (default kernel)
 	Threads      int    `json:"threads,omitempty"`       // gsim -> GSIMMT, verilator -> Verilator-MT
 	Coarsen      bool   `json:"coarsen,omitempty"`       // adaptive level coarsening (parallel essential-signal)
 	MaxSupernode int    `json:"max_supernode,omitempty"` // supernode size cap (0 = default)

@@ -255,6 +255,14 @@ func TestHTTPErrors(t *testing.T) {
 		CreateRequest{FIRRTL: readDesign(t, "counter.fir"), SessionSpec: SessionSpec{Engine: "essent", Threads: 2}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("threads with essent: status %d", resp.StatusCode)
 	}
+	// The retired per-instruction kernel mode is an unknown eval mode like
+	// any other bad value.
+	var evalErr map[string]string
+	if resp := postJSON(t, ts.URL+"/v1/sessions",
+		CreateRequest{FIRRTL: readDesign(t, "counter.fir"), SessionSpec: SessionSpec{Eval: "kernel-nofuse"}}, &evalErr); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(evalErr["error"], "unknown eval mode") {
+		t.Fatalf("eval kernel-nofuse: status %d, error %q", resp.StatusCode, evalErr["error"])
+	}
 
 	var created CreateResponse
 	postJSON(t, ts.URL+"/v1/sessions", CreateRequest{FIRRTL: readDesign(t, "counter.fir")}, &created)

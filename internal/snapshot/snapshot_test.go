@@ -66,14 +66,14 @@ func drive(sim engine.Sim, ins []*ir.Node, cycle int) {
 	}
 }
 
-// matrixConfigs enumerates the acceptance matrix: 4 engines x 3 eval modes x
+// matrixConfigs enumerates the acceptance matrix: 4 engines x 2 eval modes x
 // {1,2,4} threads x {coarsen off,on}. Thread count and coarsening are inert
 // for the serial engines and thread count shapes the parallel ones; every
 // cell still runs, pinning that the inert axes really are inert.
 func matrixConfigs() []core.Config {
 	var cfgs []core.Config
 	for _, kind := range []core.EngineKind{core.EngineFullCycle, core.EngineParallel, core.EngineActivity, core.EngineParallelActivity} {
-		for _, eval := range []engine.EvalMode{engine.EvalKernel, engine.EvalInterp, engine.EvalKernelNoFuse} {
+		for _, eval := range []engine.EvalMode{engine.EvalKernel, engine.EvalInterp} {
 			for _, threads := range []int{1, 2, 4} {
 				for _, coarsen := range []bool{false, true} {
 					var cfg core.Config
